@@ -406,10 +406,8 @@ def direct_sum_with_maps(parts: list[ChainComplex]):
     return total, incs, projs
 
 
-def inclusion_map(part: ChainComplex, whole: ChainComplex, index: int = 0) -> ChainMap:
+def inclusion_map(part: ChainComplex, whole: ChainComplex) -> ChainMap:
     """Inclusion of ``part`` as the leading direct summand of ``whole``."""
-    if index != 0:
-        raise ValueError("only the leading summand is supported here")
     blocks = {}
     for t in part.degrees():
         m = np.zeros((whole.dim(t), part.dim(t)), dtype=np.int64)
@@ -418,9 +416,7 @@ def inclusion_map(part: ChainComplex, whole: ChainComplex, index: int = 0) -> Ch
     return ChainMap.build(part, whole, blocks)
 
 
-def projection_map(whole: ChainComplex, part: ChainComplex, index: int = 0) -> ChainMap:
-    if index != 0:
-        raise ValueError("only the leading summand is supported here")
+def projection_map(whole: ChainComplex, part: ChainComplex) -> ChainMap:
     blocks = {}
     for t in whole.degrees():
         m = np.zeros((part.dim(t), whole.dim(t)), dtype=np.int64)
@@ -429,11 +425,9 @@ def projection_map(whole: ChainComplex, part: ChainComplex, index: int = 0) -> C
     return ChainMap.build(whole, part, blocks)
 
 
-def extend_by_zero(f: ChainMap, bigger_source: ChainComplex, index: int = 0) -> ChainMap:
+def extend_by_zero(f: ChainMap, bigger_source: ChainComplex) -> ChainMap:
     """Extend f along the leading-summand inclusion source -> bigger_source
     by zero on the complement."""
-    if index != 0:
-        raise ValueError("only the leading summand is supported here")
     blocks = {}
     for t in bigger_source.degrees():
         m = np.zeros((f.target.dim(t), bigger_source.dim(t)), dtype=np.int64)
@@ -448,14 +442,6 @@ def shift_complex(x: ChainComplex, k: int) -> ChainComplex:
     sign = -1 if k % 2 else 1
     diffs = {t + k: x.d(t).scale(sign) for t in x.degrees()}
     return ChainComplex.build(x.p, x.lo + k, list(x.dims), diffs)
-
-
-def shift_map(f: ChainMap, k: int) -> ChainMap:
-    return ChainMap.build(
-        shift_complex(f.source, k),
-        shift_complex(f.target, k),
-        {t + k: f.block(t) for t in f.source.degrees()},
-    )
 
 
 # ---------------------------------------------------------------------------

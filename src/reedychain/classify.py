@@ -1,10 +1,25 @@
 """Decidable classifiers for maps of truncated simplicial objects.
 
 Every predicate reduces to exact rank computations: levelwise mapping
-cones for the weak equivalences, relative latching and matching
-comparisons for the cofibrations and fibrations, and corner maps for the
+cones for the weak equivalences, closed forms over the normalized and
+Moore levels for the cofibrations and fibrations, and corner maps for the
 equifibered condition.  Failing classifiers come with a witness locating
 the first level and degree where the defect appears.
+
+Over a field every simplicial object splits (Dold-Kan): the latching map
+is the inclusion of the degeneracy span D_nX, so f is a Reedy cofibration
+iff every normalized level map X_n/D_nX -> Y_n/D_nY is injective.  The
+matching map fits into Moore's exact sequence
+
+    0 -> Z_nX -> X_n -> M_nX -> H_{n-1}X -> 0
+
+with Z_nX the intersection of the kernels of all faces and H_{n-1} the
+homology of the Moore complex (Goerss-Jardine III.2; May, Simplicial
+Objects, 17).  Comparing it with the sequence of Y shows that the relative
+matching map X_n -> Y_n x_{M_nY} M_nX is onto iff f maps Z_nX onto Z_nY and,
+for n >= 1, H_{n-1}X -> H_{n-1}Y is injective.  Both criteria hold or fail
+degree by degree, so the witnesses match those of the relative latching
+and matching maps.
 """
 
 from dataclasses import dataclass
@@ -15,41 +30,16 @@ from . import totals as tt
 from .chain import (
     ChainMap,
     SpanResult,
-    epi_witness,
     invert_map,
     is_iso,
     mono_witness,
     pullback,
     pullback_mediator,
-    pushout,
-    pushout_mediator,
     quasi_iso_witness,
 )
 from .errors import InternalInvariantError
+from .linalg import eye, hstack, kernel_basis
 from .sobj import SimplicialMap, SimplicialObject
-
-
-@dataclass(frozen=True)
-class RelativeLatching:
-    """X_n glued with the target latching object, compared against Y_n."""
-
-    map: ChainMap
-    span: SpanResult
-    lx: so.Latching
-    ly: so.Latching
-
-
-def relative_latching(
-    f: SimplicialMap, n: int, lx: so.Latching | None = None, ly: so.Latching | None = None
-) -> RelativeLatching:
-    if lx is None:
-        lx = so.latching(f.source, n)
-    if ly is None:
-        ly = so.latching(f.target, n)
-    lf = so.latching_map_of(f, n, lx, ly)
-    span = pushout(lx.to_level, lf)
-    m = pushout_mediator(span, f.level(n), ly.to_level)
-    return RelativeLatching(m, span, lx, ly)
 
 
 @dataclass(frozen=True)
@@ -84,21 +74,58 @@ def level_we_witness(f: SimplicialMap):
     return None
 
 
-def reedy_cof_witness(f: SimplicialMap):
-    """(level, degree) of the first non-injective relative latching map."""
-    for n in range(f.source.N + 1):
-        t = mono_witness(relative_latching(f, n).map)
+def reedy_cof_witness(
+    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
+):
+    """(level, degree) of the first normalized level map X_n/D_nX -> Y_n/D_nY
+    that is not injective; tx and ty are the normalized totals."""
+    if tx is None:
+        tx = tt.total_complex(f.source, "normalized")
+    if ty is None:
+        ty = tt.total_complex(f.target, "normalized")
+    for n, g in enumerate(tt.level_maps(f, "normalized", tx, ty)):
+        t = mono_witness(g)
         if t is not None:
             return (n, t)
     return None
 
 
-def reedy_fib_witness(f: SimplicialMap):
-    """(level, degree) of the first non-surjective relative matching map."""
+def _moore_cycles(tot: tt.TotalComplex, n: int, t: int):
+    """Basis of Z_n = ker d'_n at degree t, as columns over N_n; Z_0 = N_0."""
+    if n == 0:
+        return eye(tot.obj.p, tot.levels[0].dim(t))
+    return kernel_basis(tot.dprimes[n - 1].block(t))
+
+
+def reedy_fib_witness(
+    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
+):
+    """(level, degree) of the first failure of Moore's criterion: f maps
+    Z_nX onto Z_nY and, for n >= 1, is injective on H_{n-1}; tx and ty are
+    the Moore totals."""
+    if tx is None:
+        tx = tt.total_complex(f.source, "moore")
+    if ty is None:
+        ty = tt.total_complex(f.target, "moore")
+    fn = tt.level_maps(f, "moore", tx, ty)
     for n in range(f.source.N + 1):
-        t = epi_witness(relative_matching(f, n).map)
-        if t is not None:
-            return (n, t)
+        # a defect needs Z_nY or H_{n-1}X nonzero in its degree
+        degs = set(ty.levels[n].degrees())
+        if n >= 1:
+            degs |= set(tx.levels[n - 1].degrees())
+        for t in sorted(degs):
+            zx = _moore_cycles(tx, n, t)
+            if (fn[n].block(t) @ zx).rank() != _moore_cycles(ty, n, t).cols:
+                return (n, t)
+            if n == 0:
+                continue
+            # H_{n-1}X -> H_{n-1}Y is injective iff its image
+            # (f Z_{n-1}X + B_{n-1}Y) / B_{n-1}Y has dim Z_{n-1}X - dim B_{n-1}X
+            zx1 = _moore_cycles(tx, n - 1, t)
+            by = ty.dprimes[n - 1].block(t)
+            image = hstack([fn[n - 1].block(t) @ zx1, by]).rank() - by.rank()
+            if image != zx1.cols - tx.dprimes[n - 1].block(t).rank():
+                return (n, t)
     return None
 
 
@@ -177,11 +204,15 @@ def classification_report(c: Classification) -> dict:
 
 def classify(f: SimplicialMap, check_invariant: bool = True) -> Classification:
     wits = {}
+    nx = tt.total_complex(f.source, "normalized")
+    ny = tt.total_complex(f.target, "normalized")
     lw = level_we_witness(f)
-    cw = reedy_cof_witness(f)
-    fw = reedy_fib_witness(f)
+    cw = reedy_cof_witness(f, nx, ny)
+    fw = reedy_fib_witness(
+        f, tt.total_complex(f.source, "moore"), tt.total_complex(f.target, "moore")
+    )
     sq = face_square_witness(f)
-    rr = tt.realization_we(f)
+    rr = tt.realization_we(f, nx, ny)
     if lw is not None:
         wits["level_we"] = lw
     if cw is not None:

@@ -328,7 +328,6 @@ def _run(args, manifest: cf.Manifest) -> tuple[dict, int]:
         f, i = fx.fixture("reedy-sm7", manifest)
         box = cl.pushout_product(f, i)
         c = cl.classify(box, check_invariant=False)
-        rr = tt.realization_we(box)
         wit = c.witnesses.get("level_we")
         return {
             "command": "counterexample",
@@ -338,8 +337,8 @@ def _run(args, manifest: cf.Manifest) -> tuple[dict, int]:
             "box_reedy_cof": c.reedy_cof,
             "level_we": c.level_we,
             "level_we_witness": list(wit) if isinstance(wit, tuple) else wit,
-            "realization_we": rr.we,
-            "flag": "exact" if rr.exact else "truncation-limited",
+            "realization_we": c.realization_we,
+            "flag": c.realization_flag,
         }, 0
 
     raise SchemaError(f"unknown command {cmd!r}")

@@ -17,7 +17,6 @@ from . import lifting as lf
 from . import sampling as sm
 from . import sobj as so
 from . import ssets as ss
-from . import totals as tt
 from .errors import ValidationFailure
 from .realize import coface_tuple
 
@@ -92,15 +91,14 @@ def check_sm7(f: so.SimplicialMap, i: ss.SSetMap, structure: str, cap=None) -> d
     part3 = "skipped:unknown-weq" if i.weq is None else "skipped:not-weq"
     if i.weq is True:
         if structure == "realization":
-            rr = tt.realization_we(box)
-            parts["weq"] = rr.we
+            parts["weq"] = cb.realization_we
             part3 = "asserted"
-            if not rr.we:
+            if not cb.realization_we:
                 violations.append(
                     {
                         "part": 3,
-                        "witness": _jsonable(rr.witness),
-                        "flag": "exact" if rr.exact else "truncation-limited",
+                        "witness": _jsonable(cb.witnesses.get("realization_we")),
+                        "flag": cb.realization_flag,
                     }
                 )
         else:

@@ -1,12 +1,13 @@
 """Truncated simplicial objects in chain complexes.
 
 A simplicial object has chain complexes X_0..X_N and face/degeneracy chain
-maps subject to the simplicial identities.  Latching and matching objects
-are computed as honest (co)limits: a cokernel, resp. kernel, of the relation
-map assembled over the elementary generating morphisms of the index
-category.  Relations for composite morphisms follow from the generating
-ones, so the presentation below computes the same object the full diagram
-would.
+maps subject to the simplicial identities.  Matching objects are computed
+as honest limits: the kernel of the relation map assembled over the
+elementary generating morphisms of the index category.  Relations for
+composite morphisms follow from the generating ones, so the presentation
+below computes the same object the full diagram would.  Latching objects
+are the degeneracy spans D_nX inside X_n, which is what the colimit is
+once the latching map is known to be injective (Dold-Kan splitting).
 """
 
 from __future__ import annotations
@@ -434,67 +435,26 @@ def _monos(j: int, n: int):
 
 @dataclass(frozen=True)
 class Latching:
-    """Colimit of X over the proper quotients of [n], with its comparison
-    map into X_n and the presentation witnesses."""
+    """The latching object L_nX as the degeneracy span D_nX inside X_n.
+
+    The colimit of X over the proper quotients of [n] maps injectively into
+    X_n (every simplicial object splits, X_n = N_nX + D_nX), and its image
+    is the span of the degeneracies s_i : X_{n-1} -> X_n, so that span with
+    its inclusion is the latching object with its latching map.
+    """
 
     obj: ChainComplex
     to_level: ChainMap
-    objects: tuple[tuple[int, ...], ...]
-    amb: ChainComplex
-    proj: ChainMap
-    sects: dict
-    incs: tuple[ChainMap, ...]
 
 
 def latching(x: SimplicialObject, n: int) -> Latching:
-    p = x.p
     if n == 0:
-        z = zero_complex(p)
-        return Latching(
-            z, zero_map(z, x.level(0)), (), z, zero_map(z, z), {}, ()
-        )
-    objects = []
-    for j in range(n):
-        objects.extend(_epis(n, j))
-    objects = tuple(objects)
-    amb, incs, _ = direct_sum_with_maps([x.level(len(set(a)) - 1) for a in objects])
-    obj_index = {a: i for i, a in enumerate(objects)}
-    rels = []
-    for a in objects:
-        j = len(set(a)) - 1
-        if j == 0:
-            continue
-        for i in range(j):
-            b = tuple(v if v <= i else v - 1 for v in a)
-            rels.append(
-                incs[obj_index[a]] @ x.degen(j - 1, i) - incs[obj_index[b]]
-            )
-    _, rel_map = _glue_out_of_sum(rels, amb, p)
-    q, proj, sects = cokernel_complex(rel_map)
-    into_level = [structure_map(x, a, len(set(a)) - 1) for a in objects]
-    _, u = _glue_out_of_sum(into_level, x.level(n), p)
-    # u kills the relations, so it descends along the quotient sections
-    blocks = {t: u.block(t) @ sects[t] for t in q.degrees()}
-    to_level = ChainMap.build(q, x.level(n), blocks)
-    return Latching(q, to_level, objects, amb, proj, sects, tuple(incs))
-
-
-def latching_map_of(
-    f: SimplicialMap, n: int, lx: Latching | None = None, ly: Latching | None = None
-) -> ChainMap:
-    if lx is None:
-        lx = latching(f.source, n)
-    if ly is None:
-        ly = latching(f.target, n)
-    if n == 0:
-        return zero_map(lx.obj, ly.obj)
-    blocks = {}
-    for t in lx.obj.degrees():
-        ft = block_diag(
-            f.p, [f.level(len(set(a)) - 1).block(t) for a in lx.objects]
-        )
-        blocks[t] = ly.proj.block(t) @ ft @ lx.sects[t]
-    return ChainMap.build(lx.obj, ly.obj, blocks)
+        z = zero_complex(x.p)
+        return Latching(z, zero_map(z, x.level(0)))
+    _, span = _glue_out_of_sum([x.degen(n - 1, i) for i in range(n)], x.level(n), x.p)
+    _, proj, _ = cokernel_complex(span)
+    obj, to_level = kernel_complex(proj)
+    return Latching(obj, to_level)
 
 
 @dataclass(frozen=True)
@@ -787,16 +747,6 @@ def pullback_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
     left = SimplicialMap(obj, xb, tuple(r.left for r in res))
     right = SimplicialMap(obj, yc, tuple(r.right for r in res))
     return SobjSpan(obj, left, right, tuple(res))
-
-
-def pullback_sobj_mediator(span: SobjSpan, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
-    from .chain import pullback_mediator
-
-    lv = tuple(
-        pullback_mediator(span.level_results[n], u.level(n), v.level(n))
-        for n in range(span.obj.N + 1)
-    )
-    return SimplicialMap(u.source, span.obj, lv)
 
 
 def direct_sum_sobj(parts: list[SimplicialObject]):

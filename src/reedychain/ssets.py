@@ -250,10 +250,6 @@ class SSetMap:
         return hash((self.source, self.target, self.levels))
 
 
-def identity_sset_map(x: SSet) -> SSetMap:
-    return SSetMap(x, x, tuple(tuple(range(x.card(m))) for m in range(x.N + 1)), True)
-
-
 def validate_sset_map(f: SSetMap):
     if f.source.N != f.target.N:
         raise ValidationFailure("simplicial map between different truncations")
@@ -415,16 +411,6 @@ def product_map(f: SSetMap, g: SSetMap) -> SSetMap:
         )
         lv.append(row)
     return SSetMap(src, tgt, tuple(lv))
-
-
-def product_projections(x: SSet, y: SSet) -> tuple[SSetMap, SSetMap]:
-    pr = product(x, y)
-    lv1, lv2 = [], []
-    for m in range(x.N + 1):
-        cy = y.card(m)
-        lv1.append(tuple(i // cy for i in range(pr.card(m))))
-        lv2.append(tuple(i % cy for i in range(pr.card(m))))
-    return SSetMap(pr, x, tuple(lv1)), SSetMap(pr, y, tuple(lv2))
 
 
 def box_boundary(f: SSetMap, g: SSetMap) -> SSetMap:

@@ -189,7 +189,11 @@ def is_skeletal(x: SimplicialObject) -> bool:
     return True
 
 
-def _level_maps(f: SimplicialMap, mode: str, tx: TotalComplex, ty: TotalComplex):
+def level_maps(f: SimplicialMap, mode: str, tx: TotalComplex, ty: TotalComplex) -> list[ChainMap]:
+    """The maps f induces between the levels of two totals of one mode:
+    X_s -> Y_s, X_s/D_sX -> Y_s/D_sY or N_sX -> N_sY."""
+    if tx.mode != mode or ty.mode != mode:
+        raise ValidationFailure("total complex mode mismatch")
     out = []
     for s in range(f.source.N + 1):
         fs = f.level(s)
@@ -223,9 +227,7 @@ def total_map(
         tx = total_complex(f.source, mode)
     if ty is None:
         ty = total_complex(f.target, mode)
-    if tx.mode != mode or ty.mode != mode:
-        raise ValidationFailure("total complex mode mismatch")
-    per_level = _level_maps(f, mode, tx, ty)
+    per_level = level_maps(f, mode, tx, ty)
     blocks = {}
     for n in tx.obj.degrees():
         m = np.zeros((ty.obj.dim(n), tx.obj.dim(n)), dtype=np.int64)
@@ -248,8 +250,10 @@ class RealizationResult:
     witness: int | None
 
 
-def realization_we(f: SimplicialMap) -> RealizationResult:
-    m = total_map(f, mode="normalized")
+def realization_we(
+    f: SimplicialMap, tx: TotalComplex | None = None, ty: TotalComplex | None = None
+) -> RealizationResult:
+    m = total_map(f, "normalized", tx, ty)
     wit = quasi_iso_witness(m)
     exact = is_skeletal(f.source) and is_skeletal(f.target)
     return RealizationResult(wit is None, exact, wit)

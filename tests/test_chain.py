@@ -296,17 +296,17 @@ def test_chain_lift_mono_against_trivial_epi():
         r = np.random.default_rng(200 + seed)
         a = rand_complex(r)
         b = ch.direct_sum([a, ch.disk(P, 1)])
-        i = ch.inclusion_map(a, b, 0)
+        i = ch.inclusion_map(a, b)
         x = rand_complex(r)
         acyc = ch.disk(P, 0)
         xa = ch.direct_sum([x, acyc])
-        p_map = ch.projection_map(xa, x, 0)
+        p_map = ch.projection_map(xa, x)
         assert ch.is_quasi_iso(p_map) and ch.is_epi(p_map)
         top = rand_map(r, a, xa)
         bottom = p_map @ top
         # solve bottom = h i for some h first? bottom is defined on a; extend
         # to b by the lifting problem with square (top, bottom')
-        bot_b = ch.extend_by_zero(bottom, b, 0)
+        bot_b = ch.extend_by_zero(bottom, b)
         h = ch.chain_lift(i, p_map, top, bot_b)
         assert h is not None
         assert h @ i == top

@@ -96,7 +96,7 @@ def test_sing_total_recovers_homology():
 
 def test_sing_map_of_epi_is_levelwise_epi():
     whole = ch.direct_sum([ch.sphere(P, 1), ch.disk(P, 1)])
-    g = ch.projection_map(whole, ch.sphere(P, 1), 0)
+    g = ch.projection_map(whole, ch.sphere(P, 1))
     sm = rz.sing_map(g, 2)
     so.validate_smap(sm)
     for n in range(3):

@@ -1,0 +1,201 @@
+"""Differential tests of the Dold-Kan classifiers against the general
+colimit and limit presentations.
+
+The reference path kept here is the one the classifiers replaced: the
+latching object as the cokernel of the relation map over the proper
+quotients of [n], the relative latching map out of the pushout
+X_n +_{L_nX} L_nY, and the relative matching map into the pullback
+Y_n x_{M_nY} M_nX.  A map is a Reedy cofibration (fibration) when every
+relative latching (matching) map is injective (surjective); the witness is
+the first failing level and, within it, the lowest failing degree.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+
+from reedychain import chain as ch
+from reedychain import classify as cl
+from reedychain import fixtures as fx
+from reedychain import harness as hn
+from reedychain import sampling as sm
+from reedychain import sobj as so
+from reedychain import ssets as ss
+from reedychain.config import Manifest
+from reedychain.errors import ResourceCapError
+from reedychain.linalg import block_diag, hstack
+
+P = 7
+MAP_KINDS = tuple(k for k in sm.KINDS if k != "random_sobj")
+
+
+# ---------------------------------------------------------------------------
+# reference path
+
+
+@dataclass(frozen=True)
+class ColimitLatching:
+    """Colimit of X over the proper quotients of [n], with its comparison
+    map into X_n and the presentation witnesses."""
+
+    obj: ch.ChainComplex
+    to_level: ch.ChainMap
+    objects: tuple
+    proj: ch.ChainMap
+    sects: dict
+
+
+def colimit_latching(x: so.SimplicialObject, n: int) -> ColimitLatching:
+    p = x.p
+    if n == 0:
+        z = ch.zero_complex(p)
+        return ColimitLatching(z, ch.zero_map(z, x.level(0)), (), ch.zero_map(z, z), {})
+    objects = tuple(a for j in range(n) for a in so._epis(n, j))
+    amb, incs, _ = ch.direct_sum_with_maps([x.level(len(set(a)) - 1) for a in objects])
+    index = {a: i for i, a in enumerate(objects)}
+    rels = []
+    for a in objects:
+        j = len(set(a)) - 1
+        for i in range(j):
+            b = tuple(v if v <= i else v - 1 for v in a)
+            rels.append(incs[index[a]] @ x.degen(j - 1, i) - incs[index[b]])
+    _, rel_map = so._glue_out_of_sum(rels, amb, p)
+    q, proj, sects = ch.cokernel_complex(rel_map)
+    into_level = [so.structure_map(x, a, len(set(a)) - 1) for a in objects]
+    _, u = so._glue_out_of_sum(into_level, x.level(n), p)
+    # u kills the relations, so it descends along the quotient sections
+    to_level = ch.ChainMap.build(q, x.level(n), {t: u.block(t) @ sects[t] for t in q.degrees()})
+    return ColimitLatching(q, to_level, objects, proj, sects)
+
+
+def latching_map_of(f: so.SimplicialMap, n: int, lx: ColimitLatching, ly: ColimitLatching):
+    if n == 0:
+        return ch.zero_map(lx.obj, ly.obj)
+    blocks = {}
+    for t in lx.obj.degrees():
+        ft = block_diag(f.p, [f.level(len(set(a)) - 1).block(t) for a in lx.objects])
+        blocks[t] = ly.proj.block(t) @ ft @ lx.sects[t]
+    return ch.ChainMap.build(lx.obj, ly.obj, blocks)
+
+
+def relative_latching(f: so.SimplicialMap, n: int) -> ch.ChainMap:
+    lx = colimit_latching(f.source, n)
+    ly = colimit_latching(f.target, n)
+    span = ch.pushout(lx.to_level, latching_map_of(f, n, lx, ly))
+    return ch.pushout_mediator(span, f.level(n), ly.to_level)
+
+
+def reference_cof_witness(f: so.SimplicialMap):
+    for n in range(f.source.N + 1):
+        t = ch.mono_witness(relative_latching(f, n))
+        if t is not None:
+            return (n, t)
+    return None
+
+
+def reference_fib_witness(f: so.SimplicialMap):
+    for n in range(f.source.N + 1):
+        t = ch.epi_witness(cl.relative_matching(f, n).map)
+        if t is not None:
+            return (n, t)
+    return None
+
+
+def assert_witnesses_agree(f: so.SimplicialMap):
+    assert cl.reedy_cof_witness(f) == reference_cof_witness(f)
+    assert cl.reedy_fib_witness(f) == reference_fib_witness(f)
+
+
+def nonzero_dims(c: ch.ChainComplex) -> dict:
+    return {t: c.dim(t) for t in c.degrees() if c.dim(t)}
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_witnesses_agree_on_samplers(kind, N):
+    checked = 0
+    for seed in range(8):
+        try:
+            f = sm.sample(kind, P, N, seed=seed, cap=512)
+        except ResourceCapError:
+            continue
+        assert_witnesses_agree(f)
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_witnesses_agree_on_random_small_maps(N):
+    for seed in range(30):
+        assert_witnesses_agree(sm.random_small_map(P, N, sm.rng_for(f"oracle:{N}:{seed}")))
+
+
+def test_witnesses_agree_on_boxes_with_injectives():
+    for seed in range(3):
+        f = sm.sample("reedy_cofibration", P, 2, seed=seed)
+        for _, i in hn.injective_pool(2):
+            assert_witnesses_agree(cl.pushout_product(f, i))
+
+
+def test_fibration_witness_degree_outside_target_level():
+    """X = Y + A as constant objects, A in degree 0 only: the projection is
+    onto everywhere, but M_1X = X + X carries A in degree 0, where Y_1 is
+    zero, and the diagonal A -> A + A is not onto.  The witness sits in a
+    degree of X_0 that no level of Y has."""
+    y = ch.sphere(P, 1)
+    _, _, projs = ch.direct_sum_with_maps([y, ch.sphere(P, 0)])
+    f = so.constant_map(3, projs[0])
+    assert f.target.level(1).degrees() == [1]
+    assert reference_fib_witness(f) == (1, 0)
+    assert cl.reedy_fib_witness(f) == (1, 0)
+    assert_witnesses_agree(f)
+
+
+# ---------------------------------------------------------------------------
+# latching objects
+
+
+def latching_objects():
+    man = Manifest(p=P, trunc=3, window=(-2, 4), cap=4096, seed=0, samples=20)
+    out = []
+    for name in ("const:sphere:0", "const:sphere:2", "const:disk:1"):
+        out.append(fx.fixture(name, man))
+    f, _ = fx.fixture("reedy-sm7", man)
+    out += [f.source, f.target]
+    for name in ("delta:2", "boundary:2", "horn:2:1"):
+        out.append(so.tensor_with_sset(ch.disk(P, 1), fx.fixture(name, man)))
+    for k in range(4):
+        out.append(so.tensor_with_sset(ch.sphere(P, 0), ss.delta(3, k)))
+    for seed in range(4):
+        out.append(sm.sample("random_sobj", P, 3, seed=seed))
+        f = sm.sample("equifibered_fibration", P, 2, seed=seed)
+        out += [f.source, f.target]
+    return out
+
+
+def test_latching_span_is_the_colimit():
+    """Degree by degree the degeneracy span has the dimensions of the colimit
+    presentation, and both have the same image in X_n."""
+    for x in latching_objects():
+        for n in range(x.N + 1):
+            new, old = so.latching(x, n), colimit_latching(x, n)
+            assert nonzero_dims(new.obj) == nonzero_dims(old.obj), n
+            assert ch.is_mono(new.to_level) and ch.is_mono(old.to_level)
+            for t in x.level(n).degrees():
+                a, b = new.to_level.block(t), old.to_level.block(t)
+                assert hstack([a, b]).rank() == a.rank() == b.rank(), (n, t)
+
+
+def test_latching_map_of_constant_map():
+    f = ch.sphere_disk_inclusion(P, 1)
+    sf = so.constant_map(2, f)
+    so.validate_smap(sf)
+    lx, ly = colimit_latching(sf.source, 2), colimit_latching(sf.target, 2)
+    lf = latching_map_of(sf, 2, lx, ly)
+    assert lf.source.total_dim() == f.source.total_dim()
+    assert ch.is_mono(lf)
+    assert cl.reedy_cof_witness(sf) is None

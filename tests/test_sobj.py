@@ -125,15 +125,6 @@ def test_matching_of_simplex_tensor():
     assert not ch.is_epi(m1.from_level)
 
 
-def test_latching_map_of_constant_map():
-    f = ch.sphere_disk_inclusion(P, 1)
-    sf = so.constant_map(2, f)
-    so.validate_smap(sf)
-    lf = so.latching_map_of(sf, 2)
-    assert lf.source.total_dim() == f.source.total_dim()
-    assert ch.is_mono(lf)
-
-
 def test_matching_map_of_constant_map():
     f = ch.sphere_disk_inclusion(P, 1)
     sf = so.constant_map(2, f)
