@@ -1,15 +1,18 @@
 """Decidable classifiers for maps of truncated simplicial objects.
 
 Every predicate reduces to exact rank computations: levelwise mapping
-cones for the weak equivalences, closed forms over the normalized and
-Moore levels for the cofibrations and fibrations, and corner maps for the
-equifibered condition.  Failing classifiers come with a witness locating
-the first level and degree where the defect appears.
+cones for the weak equivalences, levelwise injectivity for the
+cofibrations, a closed form over the Moore levels for the fibrations, and
+corner maps for the equifibered condition.  Failing classifiers come with
+a witness locating the first level and degree where the defect appears.
 
 Over a field every simplicial object splits (Dold-Kan): the latching map
 is the inclusion of the degeneracy span D_nX, so f is a Reedy cofibration
-iff every normalized level map X_n/D_nX -> Y_n/D_nY is injective.  The
-matching map fits into Moore's exact sequence
+iff every normalized level map X_n/D_nX -> Y_n/D_nY is injective.  As
+X_n is the sum of the N_kX over the surjections [n] -> [k], that holds iff
+every f_n is injective, and the first failing (level, degree) is the same:
+the Reedy cofibrations are the levelwise monos.  The matching map fits into
+Moore's exact sequence
 
     0 -> Z_nX -> X_n -> M_nX -> H_{n-1}X -> 0
 
@@ -74,17 +77,10 @@ def level_we_witness(f: SimplicialMap):
     return None
 
 
-def reedy_cof_witness(
-    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
-):
-    """(level, degree) of the first normalized level map X_n/D_nX -> Y_n/D_nY
-    that is not injective; tx and ty are the normalized totals."""
-    if tx is None:
-        tx = tt.total_complex(f.source, "normalized")
-    if ty is None:
-        ty = tt.total_complex(f.target, "normalized")
-    for n, g in enumerate(tt.level_maps(f, "normalized", tx, ty)):
-        t = mono_witness(g)
+def reedy_cof_witness(f: SimplicialMap):
+    """(level, degree) of the first level map f_n that is not injective."""
+    for n in range(f.source.N + 1):
+        t = mono_witness(f.level(n))
         if t is not None:
             return (n, t)
     return None
@@ -97,16 +93,11 @@ def _moore_cycles(tot: tt.TotalComplex, n: int, t: int):
     return kernel_basis(tot.dprimes[n - 1].block(t))
 
 
-def reedy_fib_witness(
-    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
-):
+def reedy_fib_witness(f: SimplicialMap):
     """(level, degree) of the first failure of Moore's criterion: f maps
-    Z_nX onto Z_nY and, for n >= 1, is injective on H_{n-1}; tx and ty are
-    the Moore totals."""
-    if tx is None:
-        tx = tt.total_complex(f.source, "moore")
-    if ty is None:
-        ty = tt.total_complex(f.target, "moore")
+    Z_nX onto Z_nY and, for n >= 1, is injective on H_{n-1}."""
+    tx = tt.total_complex(f.source, "moore")
+    ty = tt.total_complex(f.target, "moore")
     fn = tt.level_maps(f, "moore", tx, ty)
     for n in range(f.source.N + 1):
         # a defect needs Z_nY or H_{n-1}X nonzero in its degree
@@ -204,15 +195,11 @@ def classification_report(c: Classification) -> dict:
 
 def classify(f: SimplicialMap, check_invariant: bool = True) -> Classification:
     wits = {}
-    nx = tt.total_complex(f.source, "normalized")
-    ny = tt.total_complex(f.target, "normalized")
     lw = level_we_witness(f)
-    cw = reedy_cof_witness(f, nx, ny)
-    fw = reedy_fib_witness(
-        f, tt.total_complex(f.source, "moore"), tt.total_complex(f.target, "moore")
-    )
+    cw = reedy_cof_witness(f)
+    fw = reedy_fib_witness(f)
     sq = face_square_witness(f)
-    rr = tt.realization_we(f, nx, ny)
+    rr = tt.realization_we(f)
     if lw is not None:
         wits["level_we"] = lw
     if cw is not None:

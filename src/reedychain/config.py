@@ -21,6 +21,10 @@ DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 20
 
 
+# Largest modulus the int64 arithmetic of ``linalg`` keeps exact.
+MAX_P = 2**15
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -30,6 +34,17 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_prime(p: int, name: str = "p") -> int:
+    """Return p if it is a prime at most MAX_P; raise SchemaError otherwise."""
+    if p > MAX_P:
+        raise SchemaError(
+            f"{name}={p} exceeds {MAX_P}, the largest modulus the arithmetic keeps exact"
+        )
+    if not is_prime(p):
+        raise SchemaError(f"{name}={p} is not prime")
+    return p
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -56,8 +71,7 @@ class Manifest:
     samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise SchemaError(f"p={self.p} is not prime")
+        check_prime(self.p)
         if self.trunc < 1:
             raise SchemaError(f"truncation must be at least 1, got {self.trunc}")
         if self.window[0] > self.window[1]:

@@ -1,15 +1,13 @@
 """Property-check suites over sampled instances.
 
-Each suite draws per-trial seeds ``seed + t``, runs every trial as a pure
-function of its seed, and aggregates sorted by trial seed, so reports are
-byte-identical regardless of execution order or worker count.  Violations
-are report content, not exceptions; a violation means an implementation
-bug, and the report carries the witness.
+Each suite draws per-trial seeds ``seed + t``, runs every trial in seed
+order as a pure function of its seed, and aggregates in that order, so
+reports are byte-identical for a fixed manifest.  Violations are report
+content, not exceptions; a violation means an implementation bug, and the
+report carries the witness.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from . import chain as ch
 from . import classify as cl
@@ -27,15 +25,6 @@ def _jsonable(w):
     if isinstance(w, tuple):
         return [_jsonable(v) for v in w]
     return w
-
-
-def _run_trials(trial, seeds, workers: int = 1):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            out = list(ex.map(trial, seeds))
-    else:
-        out = [trial(s) for s in seeds]
-    return [r for _, r in sorted(zip(seeds, out), key=lambda sr: sr[0])]
 
 
 def _status(violations) -> str:
@@ -127,7 +116,6 @@ def check_sm7_suite(
     seed: int,
     structure: str,
     cap=None,
-    workers: int = 1,
 ) -> dict:
     pool = injective_pool(N)
 
@@ -146,7 +134,7 @@ def check_sm7_suite(
             "expected_failure": rep["expected_failure"],
         }
 
-    rows = _run_trials(trial, [seed + t for t in range(samples)], workers)
+    rows = [trial(s) for s in range(seed, seed + samples)]
     violations = [
         {"seed": r["seed"], "i": r["i"], **v} for r in rows for v in r["violations"]
     ]
@@ -178,7 +166,6 @@ def check_realization_axiom(
     seed: int,
     cap=None,
     classifier=cl.classify,
-    workers: int = 1,
 ) -> dict:
     def trial(s):
         rng = sm.rng_for(f"real-axiom:{p}:{N}:{s}")
@@ -197,7 +184,7 @@ def check_realization_axiom(
             "violation": {"seed": s, "witness": _jsonable(c.witnesses.get("level_we"))},
         }
 
-    rows = _run_trials(trial, [seed + t for t in range(samples)], workers)
+    rows = [trial(s) for s in range(seed, seed + samples)]
     violations = [r["violation"] for r in rows if "violation" in r]
     in_scope = sum(1 for r in rows if r["scope"] == "in")
     return {
@@ -225,7 +212,6 @@ def check_lem_match(
     seed: int,
     n_max: int | None = None,
     cap=None,
-    workers: int = 1,
 ) -> dict:
     nm = N if n_max is None else min(n_max, N)
 
@@ -235,7 +221,7 @@ def check_lem_match(
         bad = [n for n in range(nm + 1) if not cl.matching_cotensor_comparison(f, n)]
         return {"seed": s, "bad": bad}
 
-    rows = _run_trials(trial, [seed + t for t in range(samples)], workers)
+    rows = [trial(s) for s in range(seed, seed + samples)]
     violations = [{"seed": r["seed"], "n": n} for r in rows for n in r["bad"]]
     return {
         "check": "lem-match",
@@ -260,7 +246,6 @@ def check_prop_proof(
     samples: int,
     seed: int,
     cap=None,
-    workers: int = 1,
 ) -> dict:
     pool = injective_pool(N)
 
@@ -280,7 +265,7 @@ def check_prop_proof(
             out.append({"seed": s, "i": label, "clause": "trivial"})
         return {"seed": s, "violations": out}
 
-    rows = _run_trials(trial, [seed + t for t in range(samples)], workers)
+    rows = [trial(s) for s in range(seed, seed + samples)]
     violations = [v for r in rows for v in r["violations"]]
     return {
         "check": "prop-proof",
@@ -305,7 +290,6 @@ def check_prop_i_cof(
     seed: int,
     cap=None,
     classifier=cl.classify,
-    workers: int = 1,
 ) -> dict:
     def trial(s):
         rng = sm.rng_for(f"prop-i-cof:{p}:{N}:{s}")
@@ -318,7 +302,7 @@ def check_prop_i_cof(
             out.append({"seed": s, "clause": "realization", "witness": _jsonable(c.witnesses.get("realization_we"))})
         return {"seed": s, "violations": out}
 
-    rows = _run_trials(trial, [seed + t for t in range(samples)], workers)
+    rows = [trial(s) for s in range(seed, seed + samples)]
     violations = [v for r in rows for v in r["violations"]]
     return {
         "check": "prop-i-cof",

@@ -15,6 +15,7 @@ import numpy as np
 from . import chain as ch
 from . import sobj as so
 from . import ssets as ss
+from .config import check_prime
 from .errors import SchemaError
 from .lifting import LiftingProblem
 from .linalg import FpMatrix
@@ -31,14 +32,13 @@ def _need(doc, key, path):
 def _int(v, path):
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{path}: expected an integer")
+    if not -(2**63) <= v < 2**63:
+        raise SchemaError(f"{path}: integer {v} does not fit in 64 bits")
     return v
 
 
 def _prime(v, path):
-    v = _int(v, path)
-    if v < 2:
-        raise SchemaError(f"{path}: prime must be at least 2")
-    return v
+    return check_prime(_int(v, path), path)
 
 
 def _int_list(v, path):
@@ -472,6 +472,6 @@ def dumps(obj) -> str:
 def loads(s: str):
     try:
         doc = json.loads(s)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON or an integer past Python's digit limit
         raise SchemaError(f"input is not valid JSON: {e}") from e
     return from_doc(doc)

@@ -31,7 +31,7 @@ from .chain import (
     zero_map,
 )
 from .errors import ValidationFailure
-from .linalg import FpMatrix, block_diag, hstack, solve, vstack, zeros
+from .linalg import FpMatrix, block_diag, eye, hstack, solve, vstack
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,98 +198,28 @@ def validate_smap(f: SimplicialMap):
 
 
 # ---------------------------------------------------------------------------
-# tensoring a chain complex with a simplicial set
+# tensoring with a simplicial set
+
+
+def _route(p: int, table, card_tgt: int, block: FpMatrix) -> FpMatrix:
+    """Block matrix from len(table) copies to card_tgt copies that holds
+    ``block`` at copy (table[j], j) and zero elsewhere."""
+    r, c = block.shape
+    out = np.zeros((card_tgt, r, len(table), c), dtype=np.int64)
+    out[np.asarray(table, dtype=np.intp), :, np.arange(len(table)), :] = block.a
+    return FpMatrix(p, out.reshape(card_tgt * r, len(table) * c))
 
 
 def _copies_complex(a: ChainComplex, count: int) -> ChainComplex:
     """Direct sum of ``count`` copies of a, copy-major layout."""
     if count == 0 or a.is_zero():
         return zero_complex(a.p)
-    dims = [count * d for d in a.dims]
-    diffs = {}
-    for t in a.degrees():
-        if a.dim(t) and a.dim(t - 1):
-            diffs[t] = FpMatrix(
-                a.p, np.kron(np.eye(count, dtype=np.int64), a.d(t).a)
-            )
-    return ChainComplex.build(a.p, a.lo, dims, diffs)
-
-
-def _index_matrix(card_tgt: int, table) -> np.ndarray:
-    m = np.zeros((card_tgt, len(table)), dtype=np.int64)
-    for src, tgt in enumerate(table):
-        m[tgt, src] = 1
-    return m
-
-
-def tensor_with_sset(a: ChainComplex, k: ss.SSet) -> SimplicialObject:
-    """Level n is a direct sum of copies of ``a`` indexed by the n-simplices;
-    operators permute-and-merge copies along the simplex operator tables."""
-    levels = tuple(_copies_complex(a, k.card(n)) for n in range(k.N + 1))
-
-    def op_map(src_lvl, tgt_lvl, table, card_tgt):
-        mperm = _index_matrix(card_tgt, table)
-        blocks = {}
-        for t in a.degrees():
-            blocks[t] = FpMatrix(a.p, np.kron(mperm, np.eye(a.dim(t), dtype=np.int64)))
-        return ChainMap.build(src_lvl, tgt_lvl, blocks)
-
-    faces = tuple(
-        tuple(
-            op_map(levels[n], levels[n - 1], k.faces[n - 1][i], k.card(n - 1))
-            for i in range(n + 1)
-        )
-        for n in range(1, k.N + 1)
-    )
-    degens = tuple(
-        tuple(
-            op_map(levels[n], levels[n + 1], k.degens[n][i], k.card(n + 1))
-            for i in range(n + 1)
-        )
-        for n in range(k.N)
-    )
-    return SimplicialObject(k.N, levels, faces, degens)
-
-
-def tensor_chain_map(f: ChainMap, k: ss.SSet) -> SimplicialMap:
-    """f tensor k, identity on the simplex directions."""
-    src = tensor_with_sset(f.source, k)
-    tgt = tensor_with_sset(f.target, k)
-    lv = []
-    for n in range(k.N + 1):
-        blocks = {}
-        for t in f.source.degrees():
-            blocks[t] = FpMatrix(
-                f.p, np.kron(np.eye(k.card(n), dtype=np.int64), f.block(t).a)
-            )
-        lv.append(ChainMap.build(src.level(n), tgt.level(n), blocks))
-    return SimplicialMap(src, tgt, tuple(lv))
-
-
-def tensor_sset_map(a: ChainComplex, g: ss.SSetMap) -> SimplicialMap:
-    """a tensor g, identity on the chain direction."""
-    src = tensor_with_sset(a, g.source)
-    tgt = tensor_with_sset(a, g.target)
-    lv = []
-    for n in range(g.source.N + 1):
-        mperm = _index_matrix(g.target.card(n), g.levels[n])
-        blocks = {}
-        for t in a.degrees():
-            blocks[t] = FpMatrix(a.p, np.kron(mperm, np.eye(a.dim(t), dtype=np.int64)))
-        lv.append(ChainMap.build(src.level(n), tgt.level(n), blocks))
-    return SimplicialMap(src, tgt, tuple(lv))
-
-
-def _routed_block(p: int, mperm: np.ndarray, fb: FpMatrix) -> FpMatrix:
-    if mperm.size == 0 or fb.rows * fb.cols == 0:
-        return FpMatrix(
-            p,
-            np.zeros(
-                (mperm.shape[0] * fb.rows, mperm.shape[1] * fb.cols),
-                dtype=np.int64,
-            ),
-        )
-    return FpMatrix(p, np.kron(mperm, fb.a))
+    diffs = {
+        t: _route(a.p, range(count), count, a.d(t))
+        for t in a.degrees()
+        if a.dim(t) and a.dim(t - 1)
+    }
+    return ChainComplex.build(a.p, a.lo, [count * d for d in a.dims], diffs)
 
 
 def tensor_sobj_with_sset(x: SimplicialObject, k: ss.SSet) -> SimplicialObject:
@@ -300,37 +230,19 @@ def tensor_sobj_with_sset(x: SimplicialObject, k: ss.SSet) -> SimplicialObject:
         raise ValidationFailure("tensor truncations differ")
     levels = tuple(_copies_complex(x.level(n), k.card(n)) for n in range(k.N + 1))
 
-    def op_map(src_lvl, tgt_lvl, inner: ChainMap, table, card_tgt):
-        mperm = _index_matrix(card_tgt, table)
-        blocks = {}
-        for t in inner.source.degrees():
-            blocks[t] = _routed_block(x.p, mperm, inner.block(t))
-        return ChainMap.build(src_lvl, tgt_lvl, blocks)
+    def op_map(src: int, tgt: int, inner: ChainMap, table) -> ChainMap:
+        blocks = {
+            t: _route(x.p, table, k.card(tgt), inner.block(t))
+            for t in inner.source.degrees()
+        }
+        return ChainMap.build(levels[src], levels[tgt], blocks)
 
     faces = tuple(
-        tuple(
-            op_map(
-                levels[n],
-                levels[n - 1],
-                x.face(n, i),
-                k.faces[n - 1][i],
-                k.card(n - 1),
-            )
-            for i in range(n + 1)
-        )
+        tuple(op_map(n, n - 1, x.face(n, i), k.faces[n - 1][i]) for i in range(n + 1))
         for n in range(1, k.N + 1)
     )
     degens = tuple(
-        tuple(
-            op_map(
-                levels[n],
-                levels[n + 1],
-                x.degen(n, i),
-                k.degens[n][i],
-                k.card(n + 1),
-            )
-            for i in range(n + 1)
-        )
+        tuple(op_map(n, n + 1, x.degen(n, i), k.degens[n][i]) for i in range(n + 1))
         for n in range(k.N)
     )
     return SimplicialObject(k.N, levels, faces, degens)
@@ -342,10 +254,11 @@ def tensor_smap_with_sset(f: SimplicialMap, k: ss.SSet) -> SimplicialMap:
     tgt = tensor_sobj_with_sset(f.target, k)
     lv = []
     for n in range(k.N + 1):
-        ident = np.eye(k.card(n), dtype=np.int64)
-        blocks = {}
-        for t in f.source.level(n).degrees():
-            blocks[t] = _routed_block(f.p, ident, f.level(n).block(t))
+        card = k.card(n)
+        blocks = {
+            t: _route(f.p, range(card), card, f.level(n).block(t))
+            for t in f.source.level(n).degrees()
+        }
         lv.append(ChainMap.build(src.level(n), tgt.level(n), blocks))
     return SimplicialMap(src, tgt, tuple(lv))
 
@@ -356,14 +269,27 @@ def tensor_sobj_sset_map(x: SimplicialObject, g: ss.SSetMap) -> SimplicialMap:
     tgt = tensor_sobj_with_sset(x, g.target)
     lv = []
     for n in range(g.source.N + 1):
-        mperm = _index_matrix(g.target.card(n), g.levels[n])
-        blocks = {}
-        for t in x.level(n).degrees():
-            blocks[t] = _routed_block(
-                x.p, mperm, identity_map(x.level(n)).block(t)
-            )
+        blocks = {
+            t: _route(x.p, g.levels[n], g.target.card(n), eye(x.p, x.level(n).dim(t)))
+            for t in x.level(n).degrees()
+        }
         lv.append(ChainMap.build(src.level(n), tgt.level(n), blocks))
     return SimplicialMap(src, tgt, tuple(lv))
+
+
+def tensor_with_sset(a: ChainComplex, k: ss.SSet) -> SimplicialObject:
+    """a tensor k: the constant object on a, tensored with k."""
+    return tensor_sobj_with_sset(constant(k.N, a), k)
+
+
+def tensor_chain_map(f: ChainMap, k: ss.SSet) -> SimplicialMap:
+    """f tensor k: the constant map on f, tensored with k."""
+    return tensor_smap_with_sset(constant_map(k.N, f), k)
+
+
+def tensor_sset_map(a: ChainComplex, g: ss.SSetMap) -> SimplicialMap:
+    """a tensor g: the constant object on a, tensored with g."""
+    return tensor_sobj_sset_map(constant(g.source.N, a), g)
 
 
 # ---------------------------------------------------------------------------

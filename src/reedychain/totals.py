@@ -21,14 +21,13 @@ from .chain import (
     ChainComplex,
     ChainMap,
     identity_map,
-    is_quasi_iso,
     kernel_complex,
     quasi_iso_witness,
     zero_complex,
     zero_map,
 )
 from .errors import ValidationFailure
-from .linalg import FpMatrix, hstack, quotient_by_columns, solve, vstack, zeros
+from .linalg import FpMatrix, hstack, quotient_by_columns, vstack
 from .sobj import SimplicialMap, SimplicialObject, factor_through_mono
 
 MODES = ("full", "normalized", "moore")
@@ -178,7 +177,9 @@ def total_complex(x: SimplicialObject, mode: str = "normalized") -> TotalComplex
 
 def is_skeletal(x: SimplicialObject) -> bool:
     """True when the top level is spanned by degeneracies, so truncation
-    lost nothing of the normalized total."""
+    lost nothing of the normalized total.  Ranks the degeneracy span
+    directly; ``realization_we`` reads the same fact off the top normalized
+    level instead."""
     if x.N == 0:
         return True
     lvl = x.level(x.N)
@@ -250,10 +251,10 @@ class RealizationResult:
     witness: int | None
 
 
-def realization_we(
-    f: SimplicialMap, tx: TotalComplex | None = None, ty: TotalComplex | None = None
-) -> RealizationResult:
-    m = total_map(f, "normalized", tx, ty)
-    wit = quasi_iso_witness(m)
-    exact = is_skeletal(f.source) and is_skeletal(f.target)
+def realization_we(f: SimplicialMap) -> RealizationResult:
+    tx = total_complex(f.source, "normalized")
+    ty = total_complex(f.target, "normalized")
+    wit = quasi_iso_witness(total_map(f, "normalized", tx, ty))
+    top = f.source.N
+    exact = top == 0 or (tx.levels[top].is_zero() and ty.levels[top].is_zero())
     return RealizationResult(wit is None, exact, wit)

@@ -169,6 +169,38 @@ def test_validate_bad_file_is_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+def _complex_file(tmp_path, p, entry):
+    """Two-term complex whose one differential entry is the JSON text ``entry``."""
+    path = tmp_path / "complex.json"
+    text = f'{{"p": {p}, "complex": {{"lo": 0, "hi": 1, "dims": [1, 1], "diff": [[[{entry}]]]}}}}'
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("p", (4, 4294967311))
+def test_bad_prime_in_file_is_exit_2(capsys, tmp_path, p):
+    """A composite p would run with pseudo-inverses; a p past 2**15 would
+    overflow int64 products.  Both are refused, never answered."""
+    code, out, err = run(capsys, "homology", _complex_file(tmp_path, p, 1))
+    assert code == 2
+    assert out == ""
+    assert f"complex.p={p}" in err
+
+
+def test_bad_prime_option_is_exit_2(capsys):
+    code, out, err = run(capsys, "--p", "4294967311", "homology", "sphere:0")
+    assert code == 2
+    assert "4294967311" in err
+
+
+@pytest.mark.parametrize("entry", ("1" + "0" * 23, "9" * 5000), ids=("1e23", "5000-digits"))
+def test_oversize_integer_is_exit_2(capsys, tmp_path, entry):
+    code, out, err = run(capsys, "homology", _complex_file(tmp_path, 7, entry))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_validate_good_fixture(capsys):
     rep = run_json(capsys, "--p", "7", "--trunc", "2", "validate", "const:disk:1")
     assert rep == {"command": "validate", "kind": "sobj", "valid": True}

@@ -22,6 +22,9 @@ def test_defaults():
 def test_invariants_rejected():
     with pytest.raises(SchemaError, match="prime"):
         cf.Manifest(p=100)
+    with pytest.raises(SchemaError, match="exceeds"):
+        cf.Manifest(p=32771)  # prime, but past the int64-exact bound
+    assert cf.Manifest(p=32749).p == 32749
     with pytest.raises(SchemaError, match="truncation"):
         cf.Manifest(trunc=0)
     with pytest.raises(SchemaError, match="cap"):

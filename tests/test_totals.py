@@ -9,9 +9,11 @@ the simplex chains.
 import pytest
 
 from reedychain import chain as ch
+from reedychain import sampling as sm
 from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
+from reedychain.errors import ResourceCapError
 
 P = 7
 
@@ -119,3 +121,22 @@ def test_boundary_tensor_not_we():
     assert r3.we is False
     assert r3.exact is True
     assert r3.witness == 2
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("kind", sm.KINDS)
+def test_realization_exact_is_skeletal_ends(kind, N):
+    """The exactness flag, read off the top normalized levels, agrees with
+    ranking the top degeneracy span of both ends directly."""
+    checked = 0
+    for seed in range(4):
+        try:
+            f = sm.sample(kind, P, N, seed=seed, cap=512)
+        except ResourceCapError:
+            continue
+        if kind == "random_sobj":
+            f = so.identity_smap(f)
+        want = tt.is_skeletal(f.source) and tt.is_skeletal(f.target)
+        assert tt.realization_we(f).exact == want, seed
+        checked += 1
+    assert checked >= 3
