@@ -731,84 +731,35 @@ def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 # ---------------------------------------------------------------------------
-# chain-map spaces and lifting
+# chain-map spaces
+
+
+def add_chain_maps(sys: BlockSystem, key: tuple, a: ChainComplex, b: ChainComplex):
+    """Add the blocks of a chain map f : a -> b to ``sys``: the unknowns
+    key + (t,) of shape (dim b_t, dim a_t), in ascending degree where both
+    are nonzero, and the equations d f_t = f_{t-1} d."""
+    for t in a.degrees():
+        if a.dim(t) and b.dim(t):
+            sys.add_unknown(key + (t,), b.dim(t), a.dim(t))
+    for t in sorted(set(a.degrees()) | set(b.degrees())):
+        sys.add_equation(
+            (b.dim(t - 1), a.dim(t)),
+            [(key + (t,), b.d(t), None, 1), (key + (t - 1,), None, a.d(t), -1)],
+        )
 
 
 def chain_map_space(a: ChainComplex, b: ChainComplex):
-    """Basis of the space of chain maps a -> b.
-
-    Returns (basis, layout): basis columns live in the ambient flattened space
-    of all degreewise blocks, layout records (degree, rows, cols, offset).
-    """
-    p = a.p
-    sys = BlockSystem(p)
-    layout = []
-    off = 0
-    degs = [t for t in a.degrees() if a.dim(t) and b.dim(t)]
-    for t in degs:
-        r, c = b.dim(t), a.dim(t)
-        sys.add_unknown(t, r, c)
-        layout.append((t, r, c, off))
-        off += r * c
-    all_degs = sorted(set(a.degrees()) | set(b.degrees()))
-    for t in all_degs:
-        rows, cols = b.dim(t - 1), a.dim(t)
-        if rows and cols:
-            sys.add_equation(
-                (rows, cols),
-                [
-                    (t, b.d(t), None, 1),
-                    (t - 1, None, a.d(t), -1),
-                ],
-            )
-    return sys.kernel(), layout
+    """Basis of the space of chain maps a -> b, as (basis, system): basis
+    columns live in the ambient space of ``system``, whose unknowns are the
+    blocks (t,)."""
+    sys = BlockSystem(a.p)
+    add_chain_maps(sys, (), a, b)
+    return sys.kernel(), sys
 
 
 def chain_map_space_dim(a: ChainComplex, b: ChainComplex) -> int:
     return chain_map_space(a, b)[0].cols
 
 
-def chain_map_from_vector(a, b, vec: FpMatrix, layout) -> ChainMap:
-    blocks = {}
-    arr = vec.a.reshape(-1)
-    for t, r, c, off in layout:
-        blocks[t] = FpMatrix(a.p, arr[off : off + r * c].reshape(r, c))
-    return ChainMap.build(a, b, blocks)
-
-
-def chain_lift(i: ChainMap, p_map: ChainMap, top: ChainMap, bottom: ChainMap):
-    """Solve h i = top, p h = bottom for h : target(i) -> source(p).
-
-    Returns the deterministic solution or None.  Square commutativity is the
-    caller's responsibility; an incompatible square just comes back None.
-    """
-    bb, xx = i.target, p_map.source
-    prime = i.p
-    sys = BlockSystem(prime)
-    for t in bb.degrees():
-        if bb.dim(t) and xx.dim(t):
-            sys.add_unknown(t, xx.dim(t), bb.dim(t))
-    degs = sorted(set(bb.degrees()) | set(xx.degrees()))
-    for t in degs:
-        rows, cols = xx.dim(t - 1), bb.dim(t)
-        if rows and cols:
-            sys.add_equation(
-                (rows, cols),
-                [(t, xx.d(t), None, 1), (t - 1, None, bb.d(t), -1)],
-            )
-    for t in i.source.degrees():
-        rows, cols = xx.dim(t), i.source.dim(t)
-        if rows and cols:
-            sys.add_equation(
-                (rows, cols), [(t, None, i.block(t), 1)], rhs=top.block(t)
-            )
-    for t in bb.degrees():
-        rows, cols = p_map.target.dim(t), bb.dim(t)
-        if rows and cols:
-            sys.add_equation(
-                (rows, cols), [(t, p_map.block(t), None, 1)], rhs=bottom.block(t)
-            )
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return ChainMap.build(bb, xx, sol)
+def chain_map_from_vector(a, b, vec: FpMatrix, sys: BlockSystem) -> ChainMap:
+    return ChainMap.build(a, b, {t: m for (t,), m in sys.blocks_from_vector(vec).items()})

@@ -46,7 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--p", type=int, default=None, help="prime field order")
     top.add_argument("--trunc", type=int, default=None, help="simplicial truncation N")
     top.add_argument("--window", type=str, default=None, help="degree window lo..hi")
-    top.add_argument("--cap", type=int, default=None, help="dimension cap per matrix block")
+    top.add_argument(
+        "--cap", type=int, default=None,
+        help="refuse assembled linear systems of more than cap^2 entries "
+        "(rlp and the sampled check suites; lem-match and generators are unbounded)",
+    )
     top.add_argument("--seed", type=int, default=None, help="base seed for sampled suites")
     top.add_argument("--samples", type=int, default=None, help="trial count for sampled suites")
     fmt = top.add_mutually_exclusive_group()
@@ -316,7 +320,7 @@ def _run(args, manifest: cf.Manifest) -> tuple[dict, int]:
         elif args.name == "realization-axiom":
             rep = hn.check_realization_axiom(p, N, samples, seed, cap)
         elif args.name == "lem-match":
-            rep = hn.check_lem_match(p, N, samples, seed, cap=cap)
+            rep = hn.check_lem_match(p, N, samples, seed)
         elif args.name == "prop-proof":
             rep = hn.check_prop_proof(p, N, samples, seed, cap)
         else:

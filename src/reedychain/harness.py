@@ -48,7 +48,7 @@ def injective_pool(N: int):
 # SM7 in the two candidate structures
 
 
-def check_sm7(f: so.SimplicialMap, i: ss.SSetMap, structure: str, cap=None) -> dict:
+def check_sm7(f: so.SimplicialMap, i: ss.SSetMap, structure: str) -> dict:
     """Pushout-product check for one (f, i).
 
     Parts: (1) the box map is a Reedy cofibration; (2) if f is a level weak
@@ -126,7 +126,7 @@ def check_sm7_suite(
         else:
             f = sm.sample_reedy_cofibration(p, N, rng, cap)
         label, i = pool[(s - seed) % len(pool)]
-        rep = check_sm7(f, i, structure, cap)
+        rep = check_sm7(f, i, structure)
         return {
             "seed": s,
             "i": label,
@@ -211,7 +211,6 @@ def check_lem_match(
     samples: int,
     seed: int,
     n_max: int | None = None,
-    cap=None,
 ) -> dict:
     nm = N if n_max is None else min(n_max, N)
 

@@ -11,13 +11,11 @@ with the image of h -> (h restricted, h projected).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import sobj as so
 from . import ssets as ss
-from .chain import ChainMap, disk_from_zero, sphere_disk_inclusion
+from .chain import disk_from_zero, sphere_disk_inclusion
 from .errors import InternalInvariantError, ValidationFailure
-from .linalg import FpMatrix, hstack
+from .linalg import hstack, zeros
 from .realize import coface_tuple
 from .sobj import SimplicialMap
 from .system import BlockSystem
@@ -54,38 +52,26 @@ def rlp(problem: LiftingProblem, cap: int | None = None):
     validate_problem(problem)
     a, b = problem.i.source, problem.i.target
     x, y = problem.p.source, problem.p.target
-    sys, _ = so.smap_system(b, x, cap)
+    sys = so.smap_system(b, x, cap)
     for n in range(b.N + 1):
-        ib, tb = problem.i.level(n), problem.top.level(n)
+        i_n, top_n = problem.i.level(n), problem.top.level(n)
+        p_n, bottom_n = problem.p.level(n), problem.bottom.level(n)
         for t in a.level(n).degrees():
-            rows, cols = x.level(n).dim(t), a.level(n).dim(t)
-            if rows and cols:
-                sys.add_equation(
-                    (rows, cols),
-                    [((n, t), None, ib.block(t), 1)],
-                    rhs=tb.block(t),
-                )
-        pb, bb = problem.p.level(n), problem.bottom.level(n)
+            sys.add_equation(
+                (x.level(n).dim(t), a.level(n).dim(t)),
+                [((n, t), None, i_n.block(t), 1)],
+                rhs=top_n.block(t),
+            )
         for t in b.level(n).degrees():
-            rows, cols = y.level(n).dim(t), b.level(n).dim(t)
-            if rows and cols:
-                sys.add_equation(
-                    (rows, cols),
-                    [((n, t), pb.block(t), None, 1)],
-                    rhs=bb.block(t),
-                )
+            sys.add_equation(
+                (y.level(n).dim(t), b.level(n).dim(t)),
+                [((n, t), p_n.block(t), None, 1)],
+                rhs=bottom_n.block(t),
+            )
     sol = sys.solve()
     if sol is None:
         return False, None
-    lv = tuple(
-        ChainMap.build(
-            b.level(n),
-            x.level(n),
-            {t: m for (ln, t), m in sol.items() if ln == n},
-        )
-        for n in range(b.N + 1)
-    )
-    h = SimplicialMap(b, x, lv)
+    h = so.smap_from_blocks(b, x, sol)
     so.validate_smap(h)
     for n in range(b.N + 1):
         if (h.level(n) @ problem.i.level(n)) != problem.top.level(n):
@@ -97,108 +83,45 @@ def rlp(problem: LiftingProblem, cap: int | None = None):
     return True, h
 
 
-def _square_system(g: SimplicialMap, q: SimplicialMap, cap: int | None):
+def _square_system(g: SimplicialMap, q: SimplicialMap, cap: int | None) -> BlockSystem:
     """System whose kernel is the space of commuting squares (u, v) with
     u: source(g) -> source(q) on top and v: target(g) -> target(q) below."""
     a, b = g.source, g.target
     x, y = q.source, q.target
     sys = BlockSystem(a.p, cap)
-    layout = []
-
-    def add_hom_unknowns(tag, src, tgt):
-        for n in range(src.N + 1):
-            for t in src.level(n).degrees():
-                r, c = tgt.level(n).dim(t), src.level(n).dim(t)
-                if r and c:
-                    sys.add_unknown((tag, n, t), r, c)
-                    layout.append((tag, n, t, r, c))
-
-    def add_hom_equations(tag, src, tgt):
-        for n in range(src.N + 1):
-            degs = sorted(set(src.level(n).degrees()) | set(tgt.level(n).degrees()))
-            for t in degs:
-                rows, cols = tgt.level(n).dim(t - 1), src.level(n).dim(t)
-                if rows and cols:
-                    sys.add_equation(
-                        (rows, cols),
-                        [
-                            ((tag, n, t), tgt.level(n).d(t), None, 1),
-                            ((tag, n, t - 1), None, src.level(n).d(t), -1),
-                        ],
-                    )
-        for n in range(1, src.N + 1):
-            for i in range(n + 1):
-                ft, fs = tgt.face(n, i), src.face(n, i)
-                for t in src.level(n).degrees():
-                    rows, cols = tgt.level(n - 1).dim(t), src.level(n).dim(t)
-                    if rows and cols:
-                        sys.add_equation(
-                            (rows, cols),
-                            [
-                                ((tag, n, t), ft.block(t), None, 1),
-                                ((tag, n - 1, t), None, fs.block(t), -1),
-                            ],
-                        )
-        for n in range(src.N):
-            for i in range(n + 1):
-                st, ssrc = tgt.degen(n, i), src.degen(n, i)
-                for t in src.level(n).degrees():
-                    rows, cols = tgt.level(n + 1).dim(t), src.level(n).dim(t)
-                    if rows and cols:
-                        sys.add_equation(
-                            (rows, cols),
-                            [
-                                ((tag, n, t), st.block(t), None, 1),
-                                ((tag, n + 1, t), None, ssrc.block(t), -1),
-                            ],
-                        )
-
-    add_hom_unknowns("u", a, x)
-    add_hom_unknowns("v", b, y)
-    add_hom_equations("u", a, x)
-    add_hom_equations("v", b, y)
+    so.add_smaps(sys, ("u",), a, x)
+    so.add_smaps(sys, ("v",), b, y)
     # q after u agrees with v after g
     for n in range(a.N + 1):
         for t in a.level(n).degrees():
-            rows, cols = y.level(n).dim(t), a.level(n).dim(t)
-            if rows and cols:
-                sys.add_equation(
-                    (rows, cols),
-                    [
-                        (("u", n, t), q.level(n).block(t), None, 1),
-                        (("v", n, t), None, g.level(n).block(t), -1),
-                    ],
-                )
-    return sys, layout
-
-
-def _flatten_square(sys: BlockSystem, layout, u: SimplicialMap, v: SimplicialMap):
-    vec = np.zeros((sys.ambient_dim, 1), dtype=np.int64)
-    maps = {"u": u, "v": v}
-    for tag, n, t, r, c in layout:
-        _, _, off = sys._unknowns[(tag, n, t)]
-        vec[off : off + r * c, 0] = maps[tag].level(n).block(t).a.reshape(-1)
-    return vec
+            sys.add_equation(
+                (y.level(n).dim(t), a.level(n).dim(t)),
+                [
+                    (("u", n, t), q.level(n).block(t), None, 1),
+                    (("v", n, t), None, g.level(n).block(t), -1),
+                ],
+            )
+    return sys
 
 
 def has_universal_rlp(g: SimplicialMap, q: SimplicialMap, cap: int | None = None) -> bool:
     """Decide whether every commuting square from g to q has a lift: the
     span of commuting squares must lie in the image of h -> (h g, q h)."""
-    sq_sys, sq_layout = _square_system(g, q, cap)
+    sq_sys = _square_system(g, q, cap)
     if sq_sys.ambient_dim == 0:
         return True
     squares = sq_sys.kernel()
     if squares.cols == 0:
         return True
-    hom, hom_layout = so.smap_space(g.target, q.source, cap)
-    cols = []
+    hom, hom_sys = so.smap_space(g.target, q.source, cap)
+    cols = [zeros(g.p, sq_sys.ambient_dim, 0)]
     for j in range(hom.cols):
-        h = so.smap_from_vector(g.target, q.source, hom.column(j), hom_layout)
-        cols.append(_flatten_square(sq_sys, sq_layout, h @ g, q @ h))
-    if not cols:
-        image = FpMatrix(g.p, np.zeros((sq_sys.ambient_dim, 0), dtype=np.int64))
-    else:
-        image = FpMatrix(g.p, np.hstack(cols) % g.p)
+        blocks = {}
+        for (n, t), h in hom_sys.blocks_from_vector(hom.column(j)).items():
+            blocks[("u", n, t)] = h @ g.level(n).block(t)
+            blocks[("v", n, t)] = q.level(n).block(t) @ h
+        cols.append(sq_sys.vector_from_blocks(blocks))
+    image = hstack(cols)
     return hstack([image, squares]).rank() == image.rank()
 
 

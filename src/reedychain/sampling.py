@@ -84,10 +84,10 @@ def _random_combination(p: int, basis: la.FpMatrix, rng) -> la.FpMatrix:
 
 
 def random_chain_map(a: ch.ChainComplex, b: ch.ChainComplex, rng) -> ch.ChainMap:
-    basis, layout = ch.chain_map_space(a, b)
+    basis, system = ch.chain_map_space(a, b)
     if basis.cols == 0:
         return ch.zero_map(a, b)
-    return ch.chain_map_from_vector(a, b, _random_combination(a.p, basis, rng), layout)
+    return ch.chain_map_from_vector(a, b, _random_combination(a.p, basis, rng), system)
 
 
 def random_epi(p: int, rng, acyclic_fiber: bool) -> ch.ChainMap:
@@ -189,10 +189,10 @@ def random_skeletal_sobj(p: int, N: int, rng) -> so.SimplicialObject:
 
 
 def random_smap(x: so.SimplicialObject, y: so.SimplicialObject, rng, cap=None) -> so.SimplicialMap:
-    basis, layout = so.smap_space(x, y, cap)
+    basis, system = so.smap_space(x, y, cap)
     if basis.cols == 0:
         return so.zero_smap(x, y)
-    return so.smap_from_vector(x, y, _random_combination(x.p, basis, rng), layout)
+    return so.smap_from_vector(x, y, _random_combination(x.p, basis, rng), system)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from . import ssets as ss
 from .chain import (
     ChainComplex,
     ChainMap,
+    add_chain_maps,
     cokernel_complex,
     direct_sum,
     direct_sum_with_maps,
@@ -32,6 +33,7 @@ from .chain import (
 )
 from .errors import ValidationFailure
 from .linalg import FpMatrix, block_diag, eye, hstack, solve, vstack
+from .system import BlockSystem
 
 
 @dataclass(frozen=True, eq=False)
@@ -712,78 +714,50 @@ def direct_sum_sobj(parts: list[SimplicialObject]):
 # spaces of simplicial maps
 
 
-def smap_system(x: SimplicialObject, y: SimplicialObject, cap: int | None = None):
-    """Block system whose solutions are the simplicial chain maps X -> Y,
-    with a layout of (level, degree, rows, cols, offset) describing the
-    flattening.  Callers may add boundary conditions before solving."""
-    from .system import BlockSystem
-
-    p = x.p
-    sys = BlockSystem(p, cap)
-    layout = []
-    off = 0
+def add_smaps(sys: BlockSystem, key: tuple, x: SimplicialObject, y: SimplicialObject):
+    """Add the blocks of a simplicial map f : X -> Y to ``sys``: the chain
+    maps f_n under key + (n,), level-major, then f d_i = d_i f and
+    f s_i = s_i f."""
     for n in range(x.N + 1):
+        add_chain_maps(sys, key + (n,), x.level(n), y.level(n))
+    ops = [(n, n - 1, y.face(n, i), x.face(n, i)) for n in range(1, x.N + 1) for i in range(n + 1)]
+    ops += [(n, n + 1, y.degen(n, i), x.degen(n, i)) for n in range(x.N) for i in range(n + 1)]
+    for n, m, oy, ox in ops:
         for t in x.level(n).degrees():
-            r, c = y.level(n).dim(t), x.level(n).dim(t)
-            if r and c:
-                sys.add_unknown((n, t), r, c)
-                layout.append((n, t, r, c, off))
-                off += r * c
-    for n in range(x.N + 1):
-        degs = sorted(set(x.level(n).degrees()) | set(y.level(n).degrees()))
-        for t in degs:
-            rows, cols = y.level(n).dim(t - 1), x.level(n).dim(t)
-            if rows and cols:
-                sys.add_equation(
-                    (rows, cols),
-                    [
-                        ((n, t), y.level(n).d(t), None, 1),
-                        ((n, t - 1), None, x.level(n).d(t), -1),
-                    ],
-                )
-    for n in range(1, x.N + 1):
-        for i in range(n + 1):
-            fy, fx = y.face(n, i), x.face(n, i)
-            for t in x.level(n).degrees():
-                rows, cols = y.level(n - 1).dim(t), x.level(n).dim(t)
-                if rows and cols:
-                    sys.add_equation(
-                        (rows, cols),
-                        [
-                            ((n, t), fy.block(t), None, 1),
-                            ((n - 1, t), None, fx.block(t), -1),
-                        ],
-                    )
-    for n in range(x.N):
-        for i in range(n + 1):
-            sy, sx = y.degen(n, i), x.degen(n, i)
-            for t in x.level(n).degrees():
-                rows, cols = y.level(n + 1).dim(t), x.level(n).dim(t)
-                if rows and cols:
-                    sys.add_equation(
-                        (rows, cols),
-                        [
-                            ((n, t), sy.block(t), None, 1),
-                            ((n + 1, t), None, sx.block(t), -1),
-                        ],
-                    )
-    return sys, layout
+            sys.add_equation(
+                (y.level(m).dim(t), x.level(n).dim(t)),
+                [(key + (n, t), oy.block(t), None, 1), (key + (m, t), None, ox.block(t), -1)],
+            )
+
+
+def smap_system(x: SimplicialObject, y: SimplicialObject, cap: int | None = None) -> BlockSystem:
+    """Block system whose solutions are the simplicial chain maps X -> Y, with
+    unknowns (level, degree).  Callers may add boundary conditions before
+    solving."""
+    sys = BlockSystem(x.p, cap)
+    add_smaps(sys, (), x, y)
+    return sys
 
 
 def smap_space(x: SimplicialObject, y: SimplicialObject, cap: int | None = None):
     """Kernel basis of the space of simplicial chain maps X -> Y, with the
-    flattening layout of smap_system."""
-    sys, layout = smap_system(x, y, cap)
-    return sys.kernel(), layout
+    smap_system it lives in."""
+    sys = smap_system(x, y, cap)
+    return sys.kernel(), sys
 
 
-def smap_from_vector(x: SimplicialObject, y: SimplicialObject, vec: FpMatrix, layout) -> SimplicialMap:
-    arr = vec.a.reshape(-1)
+def smap_from_blocks(x: SimplicialObject, y: SimplicialObject, blocks: dict) -> SimplicialMap:
+    """The map with level n, degree t block ``blocks[(n, t)]``, zero where
+    absent."""
     per_level: dict[int, dict[int, FpMatrix]] = {}
-    for n, t, r, c, off in layout:
-        per_level.setdefault(n, {})[t] = FpMatrix(x.p, arr[off : off + r * c].reshape(r, c))
+    for (n, t), m in blocks.items():
+        per_level.setdefault(n, {})[t] = m
     lv = tuple(
         ChainMap.build(x.level(n), y.level(n), per_level.get(n, {}))
         for n in range(x.N + 1)
     )
     return SimplicialMap(x, y, lv)
+
+
+def smap_from_vector(x: SimplicialObject, y: SimplicialObject, vec: FpMatrix, sys: BlockSystem) -> SimplicialMap:
+    return smap_from_blocks(x, y, sys.blocks_from_vector(vec))

@@ -6,8 +6,12 @@ Unknowns are matrices X_k; equations have the shape
 
 with optional left/right coefficient matrices.  Everything is flattened
 row-major (vec(L X R) = kron(L, R^T) vec(X)) into one dense system, which is
-then solved or reduced exactly.  Used for chain-map spaces, lifting problems,
-and simplicial hom spaces.
+then solved or reduced exactly.  The system owns that flattening: unknowns
+sit in the order they were added, and ``blocks_from_vector`` and
+``vector_from_blocks`` are the only translations between ambient vectors and
+blocks.  The chain-map and simplicial-map builders (``chain.add_chain_maps``,
+``sobj.add_smaps``) fill it for chain-map spaces, lifting problems and
+simplicial hom spaces.
 """
 
 from __future__ import annotations
@@ -50,25 +54,25 @@ class BlockSystem:
 
         shape: (rows, cols) of the equation block.
         terms: iterable of (key, left, right, sign); left=None / right=None
-            mean identity.  Terms whose unknown was never added (zero-size
-            blocks) are dropped, but the equation itself still constrains the
-            rhs to be reachable.
+            mean identity.  A term whose unknown was never added is dropped
+            when its block would be zero-size (left columns times right rows
+            is 0), and raises ValueError otherwise; the equation itself still
+            constrains the rhs to be reachable.
         """
         r, c = shape
         if r * c == 0:
             return
         kept = []
         for key, left, right, sign in terms:
-            if key not in self._unknowns:
-                continue
-            kr, kc = self.unknown_shape(key)
-            lr = left.rows if left is not None else r
-            rc = right.cols if right is not None else c
+            lr, lc = left.shape if left is not None else (r, r)
+            rr, rc = right.shape if right is not None else (c, c)
             if (lr, rc) != (r, c):
                 raise ValueError(f"term shape mismatch on {key!r}")
-            if (left.cols if left is not None else r) != kr or (
-                right.rows if right is not None else c
-            ) != kc:
+            if key not in self._unknowns:
+                if lc * rr:
+                    raise ValueError(f"equation term on unknown {key!r}, which was never added")
+                continue
+            if (lc, rr) != self.unknown_shape(key):
                 raise ValueError(f"coefficient shape mismatch on {key!r}")
             kept.append((key, left, right, sign % self.p))
         self._equations.append((r, c, kept, rhs))
@@ -113,3 +117,19 @@ class BlockSystem:
             r, c, off = self._unknowns[key]
             out[key] = FpMatrix(self.p, arr[off : off + r * c].reshape(r, c))
         return out
+
+    def vector_from_blocks(self, blocks: dict) -> FpMatrix:
+        """Inverse of ``blocks_from_vector``: the ambient column holding each
+        block at its unknown's offset.  Absent unknowns read as zero; a block
+        with no unknown must be zero-size."""
+        vec = np.zeros((self._ncols, 1), dtype=np.int64)
+        for key, m in blocks.items():
+            if key not in self._unknowns:
+                if m.rows * m.cols:
+                    raise ValueError(f"block for unknown {key!r}, which was never added")
+                continue
+            r, c, off = self._unknowns[key]
+            if m.shape != (r, c):
+                raise ValueError(f"block shape {m.shape} for unknown {key!r} of shape {(r, c)}")
+            vec[off : off + r * c, 0] = m.a.reshape(-1)
+        return FpMatrix(self.p, vec)

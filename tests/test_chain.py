@@ -49,11 +49,11 @@ def rand_complex(rng, p=P, lo=-1, width=3, maxdim=3):
 
 
 def rand_map(rng, a, b):
-    basis, layout = ch.chain_map_space(a, b)
+    basis, system = ch.chain_map_space(a, b)
     if basis.cols == 0:
         return ch.zero_map(a, b)
     coeffs = FpMatrix(a.p, rng.integers(0, a.p, size=(basis.cols, 1)))
-    return ch.chain_map_from_vector(a, b, basis @ coeffs, layout)
+    return ch.chain_map_from_vector(a, b, basis @ coeffs, system)
 
 
 def test_sphere_disk_homology():
@@ -287,30 +287,6 @@ def test_quasi_iso_three_routes_agree():
         assert via_cone == via_maps
         if via_cone:
             assert ch.homology_dims(a) == ch.homology_dims(b)
-
-
-def test_chain_lift_mono_against_trivial_epi():
-    # any mono lifts against any epi quasi-iso over a field
-    rng = np.random.default_rng(12)
-    for seed in range(5):
-        r = np.random.default_rng(200 + seed)
-        a = rand_complex(r)
-        b = ch.direct_sum([a, ch.disk(P, 1)])
-        i = ch.inclusion_map(a, b)
-        x = rand_complex(r)
-        acyc = ch.disk(P, 0)
-        xa = ch.direct_sum([x, acyc])
-        p_map = ch.projection_map(xa, x)
-        assert ch.is_quasi_iso(p_map) and ch.is_epi(p_map)
-        top = rand_map(r, a, xa)
-        bottom = p_map @ top
-        # solve bottom = h i for some h first? bottom is defined on a; extend
-        # to b by the lifting problem with square (top, bottom')
-        bot_b = ch.extend_by_zero(bottom, b)
-        h = ch.chain_lift(i, p_map, top, bot_b)
-        assert h is not None
-        assert h @ i == top
-        assert p_map @ h == bot_b
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,7 +11,9 @@ Hand-derived facts frozen first:
   each family the constant promotions of their chain parts.
 """
 
+import numpy as np
 import pytest
+from test_chain import rand_complex, rand_map
 
 from reedychain import chain as ch
 from reedychain import lifting as lf
@@ -75,6 +77,29 @@ def test_rlp_on_noncommuting_square_rejected():
     bad_bottom = so.identity_smap(a)
     with pytest.raises(lf.ValidationFailure):
         lf.rlp(lf.LiftingProblem(i, pm, top, bad_bottom))
+
+
+def test_rlp_mono_against_trivial_epi():
+    # any mono lifts against any epi quasi-iso over a field; at N=0 the
+    # square is one of chain maps
+    for seed in range(5):
+        r = np.random.default_rng(200 + seed)
+        a = rand_complex(r)
+        b = ch.direct_sum([a, ch.disk(P, 1)])
+        i = ch.inclusion_map(a, b)
+        x = rand_complex(r)
+        acyc = ch.disk(P, 0)
+        xa = ch.direct_sum([x, acyc])
+        p_map = ch.projection_map(xa, x)
+        assert ch.is_quasi_iso(p_map) and ch.is_epi(p_map)
+        top = rand_map(r, a, xa)
+        # p top is defined on a; extend it by zero to b for the bottom
+        bot_b = ch.extend_by_zero(p_map @ top, b)
+        pr = lf.LiftingProblem(*(so.constant_map(0, f) for f in (i, p_map, top, bot_b)))
+        ok, h = lf.rlp(pr)
+        assert ok
+        assert h @ pr.i == pr.top
+        assert pr.p @ h == pr.bottom
 
 
 def test_rlp_resource_cap():

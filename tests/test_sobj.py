@@ -185,7 +185,7 @@ def test_pushout_pullback_levelwise():
 def test_smap_space_constant_vs_chain():
     a = ch.direct_sum([sph(0), sph(1)])
     b = ch.disk(P, 1)
-    basis, layout = so.smap_space(so.constant(2, a), so.constant(2, b))
+    basis, _ = so.smap_space(so.constant(2, a), so.constant(2, b))
     assert basis.cols == ch.chain_map_space_dim(a, b)
     # a simplicial map out of a simplex tensor is one chain map
     basis2, _ = so.smap_space(
@@ -197,9 +197,9 @@ def test_smap_space_constant_vs_chain():
 def test_smap_from_vector_roundtrip():
     x = so.tensor_with_sset(sph(0), ss.delta(2, 1))
     y = so.constant(2, sph(0))
-    basis, layout = so.smap_space(x, y)
+    basis, system = so.smap_space(x, y)
     assert basis.cols >= 1
-    f = so.smap_from_vector(x, y, basis.column(0), layout)
+    f = so.smap_from_vector(x, y, basis.column(0), system)
     so.validate_smap(f)
 
 
