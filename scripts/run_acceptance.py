@@ -14,6 +14,8 @@ import pytest
 
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
+    # the library is imported from src/ of this checkout, installed or not
+    sys.path.insert(0, str(root / "src"))
     return pytest.main(["-v", str(root / "tests" / "test_acceptance.py"), *sys.argv[1:]])
 
 

@@ -388,19 +388,19 @@ def direct_sum(parts: list[ChainComplex]) -> ChainComplex:
 def direct_sum_with_maps(parts: list[ChainComplex]):
     """(sum, inclusions, projections) with the summand order of ``parts``."""
     total = direct_sum(parts)
+    offs = dict.fromkeys(total.degrees(), 0)  # dims of the earlier parts
     incs, projs = [], []
-    for idx, part in enumerate(parts):
+    for part in parts:
         iblocks, pblocks = {}, {}
         for t in part.degrees():
-            off = sum(q.dim(t) for q in parts[:idx])
             m = np.zeros((total.dim(t), part.dim(t)), dtype=np.int64)
-            m[off : off + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
+            m[offs[t] : offs[t] + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
             iblocks[t] = FpMatrix(total.p, m)
         for t in total.degrees():
             m = np.zeros((part.dim(t), total.dim(t)), dtype=np.int64)
-            off = sum(q.dim(t) for q in parts[:idx])
-            m[:, off : off + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
+            m[:, offs[t] : offs[t] + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
             pblocks[t] = FpMatrix(total.p, m)
+            offs[t] += part.dim(t)
         incs.append(ChainMap.build(part, total, iblocks))
         projs.append(ChainMap.build(total, part, pblocks))
     return total, incs, projs
@@ -448,21 +448,26 @@ def shift_complex(x: ChainComplex, k: int) -> ChainComplex:
 # kernels, cokernels, pushouts, pullbacks
 
 
-def kernel_complex(f: ChainMap):
-    """(K, incl) with K_t = ker f_t and the induced differential."""
-    a = f.source
-    bases = {t: kernel_basis(f.block(t)) for t in a.degrees()}
+def subcomplex(a: ChainComplex, bases: dict):
+    """(K, incl) for the subcomplex of ``a`` whose degree-t part is spanned
+    by the columns of ``bases[t]``, for every degree t of a; K_t has that
+    basis, and the differential is induced from a's."""
     dims = [bases[t].cols for t in a.degrees()]
     diffs = {}
     for t in a.degrees():
         if t - 1 in bases and bases[t].cols and bases[t - 1].cols:
             m = solve(bases[t - 1], a.d(t) @ bases[t])
             if m is None:
-                raise ValidationFailure("differential does not preserve the kernel")
+                raise ValidationFailure("differential does not preserve the subcomplex")
             diffs[t] = m
     k = ChainComplex.build(a.p, a.lo, dims, diffs)
     incl = ChainMap.build(k, a, {t: bases[t] for t in a.degrees() if bases[t].cols})
     return k, incl
+
+
+def kernel_complex(f: ChainMap):
+    """(K, incl) with K_t = ker f_t and the induced differential."""
+    return subcomplex(f.source, {t: kernel_basis(f.block(t)) for t in f.source.degrees()})
 
 
 def cokernel_complex(f: ChainMap):

@@ -247,6 +247,19 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     return FpMatrix(m.p, k)
 
 
+def canonical_basis(span: FpMatrix) -> FpMatrix:
+    """The basis ``kernel_basis`` returns for any matrix whose kernel is the
+    column span of ``span``.
+
+    That basis depends only on the subspace: its vector for free column j is
+    the unique one with 1 at j and 0 at every other free column, and its
+    last nonzero entry sits at j.  So it is the rref of ``span`` transposed
+    with its columns reversed, reversed back, in ascending free-column order.
+    """
+    r, pivots = rref(FpMatrix(span.p, span.a.T[:, ::-1]))
+    return FpMatrix(span.p, r.a[: len(pivots)][::-1, ::-1].T)
+
+
 def quotient_by_columns(sub: FpMatrix, ambient_dim: int) -> tuple[FpMatrix, FpMatrix]:
     """Quotient of F_p^ambient_dim by the column span of ``sub``.
 

@@ -26,13 +26,23 @@ from .chain import (
     direct_sum_with_maps,
     identity_map,
     kernel_complex,
+    subcomplex,
     validate_complex,
     validate_map,
     zero_complex,
     zero_map,
 )
 from .errors import ValidationFailure
-from .linalg import FpMatrix, block_diag, eye, hstack, solve, vstack
+from .linalg import (
+    FpMatrix,
+    block_diag,
+    canonical_basis,
+    eye,
+    hstack,
+    kernel_basis,
+    solve,
+    vstack,
+)
 from .system import BlockSystem
 
 
@@ -461,6 +471,16 @@ class Cotensor:
 
 
 def cotensor0(x: SimplicialObject, k: ss.SSet) -> Cotensor:
+    """X^K, solved over the nondegenerate simplices of K.
+
+    A compatible family is fixed by its values x_sigma at the nondegenerate
+    sigma, subject only to d_i x_sigma = X(s_I) x_sigma' where
+    d_i sigma = s_I sigma' (Eilenberg-Zilber lemma); every other component
+    is x_tau = X(s_I) x_sigma for tau = s_I sigma.  The kernel of that
+    reduced system is carried into the sum over all simplices, and each
+    degree gets the basis the kernel of the all-simplex conditions would
+    have there (``canonical_basis``).
+    """
     if k.N != x.N:
         raise ValidationFailure("cotensor truncations differ")
     p = x.p
@@ -471,26 +491,34 @@ def cotensor0(x: SimplicialObject, k: ss.SSet) -> Cotensor:
         z = zero_complex(p)
         return Cotensor(z, zero_map(z, z), z, components, ())
     amb, _, projs = direct_sum_with_maps([x.level(n) for n, _ in components])
-    comp_index = {c: i for i, c in enumerate(components)}
-    conds = []
-    for n in range(1, k.N + 1):
-        for i in range(n + 1):
-            for idx in range(k.card(n)):
-                tgt = (n - 1, k.face(n, i, idx))
-                conds.append(
-                    x.face(n, i) @ projs[comp_index[(n, idx)]]
-                    - projs[comp_index[tgt]]
-                )
-    for n in range(k.N):
-        for i in range(n + 1):
-            for idx in range(k.card(n)):
-                tgt = (n + 1, k.degen(n, i, idx))
-                conds.append(
-                    x.degen(n, i) @ projs[comp_index[(n, idx)]]
-                    - projs[comp_index[tgt]]
-                )
-    _, cond_map = _stack_into_sum(conds, amb, p)
-    obj, incl = kernel_complex(cond_map)
+    ez = ss.ez_decomposition(k)
+    nondeg = [(n, idx) for n, idx in components if not ez[n][idx][2]]
+    red, _, red_projs = direct_sum_with_maps([x.level(n) for n, _ in nondeg])
+    red_index = {c: i for i, c in enumerate(nondeg)}
+
+    def extend(n: int, idx: int) -> ChainMap:
+        """x_tau = X(s_I) x_sigma as a map out of the reduced sum."""
+        m, sigma, ops = ez[n][idx]
+        cur = red_projs[red_index[(m, sigma)]]
+        for i in reversed(ops):
+            cur = x.degen(m, i) @ cur
+            m += 1
+        return cur
+
+    ext = {c: extend(*c) for c in components}
+    conds = [
+        x.face(n, i) @ red_projs[red_index[(n, idx)]] - ext[(n - 1, k.face(n, i, idx))]
+        for n, idx in nondeg
+        if n
+        for i in range(n + 1)
+    ]
+    _, cond_map = _stack_into_sum(conds, red, p)
+    _, to_amb = _stack_into_sum([ext[c] for c in components], red, p)
+    bases = {
+        t: canonical_basis(to_amb.block(t) @ kernel_basis(cond_map.block(t)))
+        for t in amb.degrees()
+    }
+    obj, incl = subcomplex(amb, bases)
     return Cotensor(obj, incl, amb, components, tuple(projs))
 
 

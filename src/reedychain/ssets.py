@@ -454,6 +454,30 @@ def nondegenerate_indices(x: SSet, m: int) -> tuple[int, ...]:
     return tuple(i for i in range(x.card(m)) if i not in bad)
 
 
+def ez_decomposition(x: SSet) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
+    """Eilenberg-Zilber decomposition of every simplex, read off the
+    degeneracy tables: entry [n][idx] is (m, sigma, I) with sigma the
+    nondegenerate m-simplex and I = (i_1, ..., i_k) such that simplex idx is
+    s_{i_1} ... s_{i_k} sigma.  sigma is unique; where several I give the
+    same simplex, the one through the lowest s_i at each step is kept."""
+    out = [tuple((0, idx, ()) for idx in range(x.card(0)))]
+    for n in range(1, x.N + 1):
+        parent: dict[int, tuple[int, int]] = {}
+        for i in range(n):
+            for rho, tau in enumerate(x.degens[n - 1][i]):
+                parent.setdefault(tau, (i, rho))
+        row = []
+        for tau in range(x.card(n)):
+            if tau in parent:
+                i, rho = parent[tau]
+                m, sigma, ops = out[n - 1][rho]
+                row.append((m, sigma, (i,) + ops))
+            else:
+                row.append((n, tau, ()))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def normalized_chains(x: SSet, p: int) -> ChainComplex:
     """Chains on nondegenerate simplices in degrees 0..N, alternating-sum
     differential with degenerate faces sent to zero."""

@@ -58,8 +58,12 @@ class BlockSystem:
             when its block would be zero-size (left columns times right rows
             is 0), and raises ValueError otherwise; the equation itself still
             constrains the rhs to be reachable.
+        rhs: (rows, cols) right-hand side, zero when None; any other shape
+            raises ValueError.
         """
         r, c = shape
+        if rhs is not None and rhs.shape != (r, c):
+            raise ValueError(f"rhs shape {rhs.shape} for an equation of shape {(r, c)}")
         if r * c == 0:
             return
         kept = []

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from reedychain.errors import FieldMismatchError
 from reedychain.linalg import (
     FpMatrix,
+    canonical_basis,
     eye,
     kernel_basis,
     quotient_by_columns,
+    random_invertible,
     rref,
     solve,
     zeros,
@@ -82,6 +84,35 @@ def test_kernel_basis_column_order():
     assert k.shape == (3, 1)
     assert k.tolists() == [[3], [1], [0]]
     assert (m @ k).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_canonical_basis_recovers_kernel_basis(p):
+    # any basis of ker A, or a spanning set with repeats, canonicalizes to
+    # the basis kernel_basis reads off the rref of A
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        rows, cols = (int(v) for v in rng.integers(0, 7, size=2))
+        rank_cap = int(rng.integers(0, 4))
+        left = rng.integers(0, p, size=(rows, rank_cap))
+        a = FpMatrix(p, left @ rng.integers(0, p, size=(rank_cap, cols)))
+        k = kernel_basis(a)
+        t = random_invertible(p, k.cols, rng)
+        assert canonical_basis(k @ t) == k
+        doubled = FpMatrix(p, np.hstack([(k @ t).a, (k @ t.scale(2)).a]))
+        assert canonical_basis(doubled) == k
+
+
+def test_canonical_basis_edge_cases():
+    # zero matrix: the kernel is everything and its basis the identity
+    assert canonical_basis(eye(5, 3).scale(2)) == kernel_basis(zeros(5, 2, 3)) == eye(5, 3)
+    # a matrix without columns has the zero kernel of the zero space
+    assert canonical_basis(zeros(5, 0, 0)) == kernel_basis(zeros(5, 2, 0))
+    # full column rank: the kernel is zero, spanned by no columns
+    full = FpMatrix.from_rows(5, [[1, 2], [0, 3], [4, 4]])
+    assert kernel_basis(full).shape == (2, 0)
+    assert canonical_basis(kernel_basis(full)) == kernel_basis(full)
+    assert canonical_basis(zeros(5, 2, 3)) == zeros(5, 2, 0)
 
 
 def test_kernel_of_zero_matrix_is_identity():

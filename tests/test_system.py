@@ -47,6 +47,19 @@ def test_coefficient_shapes_are_checked():
         sys.add_equation((2, 2), [("x", zeros(P, 2, 3), None, 1)])
 
 
+def test_rhs_shape_is_checked():
+    # a (3, 2) rhs for a (2, 3) equation has the right number of entries;
+    # reflattened row-major it would pose a different problem
+    sys = BlockSystem(P)
+    sys.add_unknown("x", 2, 3)
+    with pytest.raises(ValueError, match="rhs shape"):
+        sys.add_equation((2, 3), [("x", None, None, 1)], rhs=m([[0, 1], [2, 3], [4, 5]]))
+    with pytest.raises(ValueError, match="rhs shape"):
+        sys.add_equation((0, 3), [("x", zeros(P, 0, 2), None, 1)], rhs=zeros(P, 3, 0))
+    sys.add_equation((2, 3), [("x", None, None, 1)], rhs=m([[0, 1, 2], [3, 4, 5]]))
+    assert sys.solve() == {"x": m([[0, 1, 2], [3, 4, 5]])}
+
+
 def test_vector_from_blocks_inverts_blocks_from_vector():
     sys = BlockSystem(P)
     sys.add_unknown("a", 2, 3)
