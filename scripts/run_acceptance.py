@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the acceptance suites and print the per-suite summary table.
 
-Extra arguments are passed straight to pytest, so e.g.
+Per-test times are printed (``--durations=0``).  Extra arguments are
+passed straight to pytest after that flag, so e.g.
 
     python3 scripts/run_acceptance.py -k adjunction
+    python3 scripts/run_acceptance.py --durations=5
 """
 
 import pathlib
@@ -16,7 +18,9 @@ def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
     # the library is imported from src/ of this checkout, installed or not
     sys.path.insert(0, str(root / "src"))
-    return pytest.main(["-v", str(root / "tests" / "test_acceptance.py"), *sys.argv[1:]])
+    return pytest.main(
+        ["-v", "--durations=0", str(root / "tests" / "test_acceptance.py"), *sys.argv[1:]]
+    )
 
 
 if __name__ == "__main__":

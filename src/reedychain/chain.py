@@ -628,14 +628,15 @@ def hom_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     return ChainComplex.build(p, lo, dims, diffs)
 
 
-def hom_precompose(a: ChainComplex, b: ChainComplex, g: ChainMap) -> ChainMap:
+def hom_precompose(
+    a: ChainComplex, b: ChainComplex, g: ChainMap, h1: ChainComplex, h2: ChainComplex
+) -> ChainMap:
     """Hom(a, c) -> Hom(source of g, c) induced by g : src -> a ... precisely:
-    given g : a' -> a, the chain map Hom(a, b) -> Hom(a', b), f -> f g."""
+    given g : a' -> a, the chain map Hom(a, b) -> Hom(a', b), f -> f g,
+    between h1 = hom_complex(a, b) and h2 = hom_complex(a', b)."""
     aprime = g.source
     if g.target != a:
         raise ValidationFailure("precomposition target mismatch")
-    h1 = hom_complex(a, b)
-    h2 = hom_complex(aprime, b)
     blocks = {}
     for t in h1.degrees():
         lay1 = _hom_layout(a, b, t)
@@ -651,11 +652,12 @@ def hom_precompose(a: ChainComplex, b: ChainComplex, g: ChainMap) -> ChainMap:
     return ChainMap.build(h1, h2, blocks)
 
 
-def hom_postcompose(a: ChainComplex, g: ChainMap) -> ChainMap:
-    """Hom(a, source of g) -> Hom(a, target of g), f -> g f."""
+def hom_postcompose(
+    a: ChainComplex, g: ChainMap, h1: ChainComplex, h2: ChainComplex
+) -> ChainMap:
+    """Hom(a, source of g) -> Hom(a, target of g), f -> g f, between
+    h1 = hom_complex(a, source of g) and h2 = hom_complex(a, target of g)."""
     b, bprime = g.source, g.target
-    h1 = hom_complex(a, b)
-    h2 = hom_complex(a, bprime)
     blocks = {}
     for t in h1.degrees():
         lay1 = _hom_layout(a, b, t)

@@ -261,11 +261,26 @@ class CotensorSquare:
     yk: so.Cotensor
 
 
-def cotensor_map(f: SimplicialMap, i: ss.SSetMap) -> CotensorSquare:
+def cotensor_map(
+    f: SimplicialMap,
+    i: ss.SSetMap,
+    xl: so.Cotensor | None = None,
+    xk: so.Cotensor | None = None,
+    yl: so.Cotensor | None = None,
+    yk: so.Cotensor | None = None,
+) -> CotensorSquare:
+    """The corner map of f: X -> Y along i: K -> L.  Cotensors passed in
+    are used as given, so callers can share them across corners."""
     x, y = f.source, f.target
     k, l = i.source, i.target
-    xl, xk = so.cotensor0(x, l), so.cotensor0(x, k)
-    yl, yk = so.cotensor0(y, l), so.cotensor0(y, k)
+    if xl is None:
+        xl = so.cotensor0(x, l)
+    if xk is None:
+        xk = so.cotensor0(x, k)
+    if yl is None:
+        yl = so.cotensor0(y, l)
+    if yk is None:
+        yk = so.cotensor0(y, k)
     ry = so.cotensor_restrict(y, i, yl, yk)
     ak = so.cotensor_apply(f, k, xk, yk)
     span = pullback(ry, ak)

@@ -326,17 +326,25 @@ def check_j_injective_vs_equifibered(
     n_range=None,
     cap=None,
 ) -> dict:
+    """Lifting of pm against every member of the generator families over
+    the degree window and simplex range, set beside pm's equifibered
+    verdict.
+
+    Each member's universal RLP comes from ``lifting.generator_rlp``,
+    through the cotensor corners of pm; ``cap`` bounds its matrices.  The
+    equifibered verdict is classify's: pm is a Reedy fibration whose face
+    squares are homotopy cartesian.  A violation is an equifibered pm that
+    fails to lift against some member.
+    """
     prime = pm.source.p
     N = pm.source.N
     nr = (0, min(2, N)) if n_range is None else n_range
-    members = []
-    for fam in families:
-        members.extend(lf.generators(fam, prime, N, window, nr).members)
     results = [
-        {"label": m.label, "rlp": lf.has_universal_rlp(m.map, pm, cap)} for m in members
+        {"label": label, "rlp": ok}
+        for label, ok in lf.generator_rlp(pm, families, window, nr, cap)
     ]
     rlp_all = all(r["rlp"] for r in results)
-    equif = cl.classify(pm, check_invariant=False).equifibered
+    equif = cl.reedy_fib_witness(pm) is None and cl.face_square_witness(pm) is None
     violations = []
     if equif and not rlp_all:
         violations = [r for r in results if not r["rlp"]]

@@ -7,15 +7,21 @@ operator compatibility, both boundary conditions), so existence is
 decidable and every witness is exact.  The universal form quantifies
 over all commuting squares at once by comparing the span of squares
 with the image of h -> (h restricted, h projected).
+
+Against a boxed generator f box i the universal form needs no square
+system: by the tensor/cotensor adjunction, f box i lifts against q iff the
+chain map f lifts against the corner map X^L -> Y^L x_{Y^K} X^K of q along
+i (Hovey, Model Categories, Lemma 4.2.2; Hirschhorn, Prop. 9.3.7), and for
+the chain generators that is one closed-form rank condition.
 """
 
 from dataclasses import dataclass
 
 from . import sobj as so
 from . import ssets as ss
-from .chain import disk_from_zero, sphere_disk_inclusion
+from .chain import ChainMap, disk_from_zero, sphere_disk_inclusion
 from .errors import InternalInvariantError, ValidationFailure
-from .linalg import hstack, zeros
+from .linalg import check_system_cap, hstack, vstack, zeros
 from .realize import coface_tuple
 from .sobj import SimplicialMap
 from .system import BlockSystem
@@ -83,6 +89,34 @@ def rlp(problem: LiftingProblem, cap: int | None = None):
     return True, h
 
 
+def rlp_against_disk(c: ChainMap, m: int, cap: int | None = None) -> bool:
+    """Whether every square from 0 -> D^m to c has a lift: a square is a
+    b in B_m and a lift an a in A_m with c a = b, so iff c_m is onto."""
+    check_system_cap(c.target.dim(m), c.source.dim(m), cap)
+    return c.block(m).rank() == c.target.dim(m)
+
+
+def rlp_against_sphere_disk(c: ChainMap, m: int, cap: int | None = None) -> bool:
+    """Whether every square from S^{m-1} -> D^m to c: A -> B has a lift.
+
+    A square is a pair (a, b) in V = {a in A_{m-1}, b in B_m : d a = 0,
+    d b = c a}, and a lift is an a' in A_m with (d a', c a') = (a, b); the
+    map a' -> (d a', c a') always lands in V, so every square lifts iff
+    its rank is dim V.
+    """
+    a, b = c.source, c.target
+    check_system_cap(a.dim(m - 1) + b.dim(m), a.dim(m), cap)
+    check_system_cap(a.dim(m - 2) + b.dim(m - 1), a.dim(m - 1) + b.dim(m), cap)
+    lift = vstack([a.d(m), c.block(m)])
+    squares = vstack(
+        [
+            hstack([a.d(m - 1), zeros(c.p, a.dim(m - 2), b.dim(m))]),
+            hstack([c.block(m - 1), -b.d(m)]),
+        ]
+    )
+    return lift.rank() == squares.cols - squares.rank()
+
+
 def _square_system(g: SimplicialMap, q: SimplicialMap, cap: int | None) -> BlockSystem:
     """System whose kernel is the space of commuting squares (u, v) with
     u: source(g) -> source(q) on top and v: target(g) -> target(q) below."""
@@ -146,6 +180,40 @@ class GeneratorFamily:
 
 FAMILIES = ("I", "J'", "J''")
 
+# chain generator of each family: its name, the map in degree m, and the
+# closed form deciding whether a corner map lifts against it
+_CHAIN_PARTS = {
+    "I": ("sphere-disk", sphere_disk_inclusion, rlp_against_sphere_disk),
+    "J'": ("disk", disk_from_zero, rlp_against_disk),
+    "J''": ("sphere-disk", sphere_disk_inclusion, rlp_against_sphere_disk),
+}
+
+
+def _members(
+    family: str, N: int, window: tuple[int, int], n_range: tuple[int, int]
+) -> list[tuple[str, int, str, ss.SSetMap]]:
+    """(label, m, sset part, i) for every member of a family, in order: the
+    chain generator in degree m boxed with i.  I and J' take the boundary
+    inclusions, J'' the elementary coface maps."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown generator family {family!r}")
+    lo, hi = window
+    nlo, nhi = n_range
+    if lo > hi or nlo > nhi:
+        raise ValueError("empty generator range")
+    out = []
+    for m in range(lo, hi + 1):
+        if family in ("I", "J'"):
+            for n in range(max(0, nlo), nhi + 1):
+                i = ss.boundary_inclusion(N, n)
+                out.append((f"{family}[m={m},n={n}]", m, f"boundary:{n}", i))
+        else:
+            for n in range(max(1, nlo), nhi + 1):
+                for j in range(n + 1):
+                    i = ss.delta_map(N, coface_tuple(n, j), n)
+                    out.append((f"{family}[m={m},n={n},face={j}]", m, f"coface:{n}:{j}", i))
+    return out
+
 
 def generators(
     family: str, p: int, N: int, window: tuple[int, int], n_range: tuple[int, int]
@@ -158,43 +226,54 @@ def generators(
     """
     from .classify import pushout_product
 
-    if family not in FAMILIES:
-        raise ValueError(f"unknown generator family {family!r}")
-    lo, hi = window
-    nlo, nhi = n_range
-    if lo > hi or nlo > nhi:
-        raise ValueError("empty generator range")
-    members = []
-    for m in range(lo, hi + 1):
-        if family == "J'":
-            f = disk_from_zero(p, m)
-            chain_part = f"disk:{m}"
-        else:
-            f = sphere_disk_inclusion(p, m)
-            chain_part = f"sphere-disk:{m}"
-        if family in ("I", "J'"):
-            for n in range(max(0, nlo), nhi + 1):
-                i = ss.boundary_inclusion(N, n)
-                members.append(
-                    Generator(
-                        f"{family}[m={m},n={n}]",
-                        pushout_product(f, i),
-                        chain_part,
-                        f"boundary:{n}",
-                        i.weq,
-                    )
-                )
-        else:
-            for n in range(max(1, nlo), nhi + 1):
-                for j in range(n + 1):
-                    i = ss.delta_map(N, coface_tuple(n, j), n)
-                    members.append(
-                        Generator(
-                            f"{family}[m={m},n={n},face={j}]",
-                            pushout_product(f, i),
-                            chain_part,
-                            f"coface:{n}:{j}",
-                            i.weq,
-                        )
-                    )
-    return GeneratorFamily(family, (lo, hi), (nlo, nhi), tuple(members))
+    members = _members(family, N, window, n_range)
+    name, chain_gen, _ = _CHAIN_PARTS[family]
+    boxed = tuple(
+        Generator(label, pushout_product(chain_gen(p, m), i), f"{name}:{m}", part, i.weq)
+        for label, m, part, i in members
+    )
+    return GeneratorFamily(family, tuple(window), tuple(n_range), boxed)
+
+
+def generator_rlp(
+    q: SimplicialMap,
+    families,
+    window: tuple[int, int],
+    n_range: tuple[int, int],
+    cap: int | None = None,
+) -> list[tuple[str, bool]]:
+    """(label, verdict) for every member f box i of the families, in the
+    order ``generators`` lists them: whether f box i has the universal RLP
+    against q, the question ``has_universal_rlp(f box i, q)`` answers.
+
+    Decided through the cotensor corner c: X^L -> Y^L x_{Y^K} X^K of q
+    along i (Hovey 4.2.2): f box i lifts against q iff f lifts against c,
+    which ``rlp_against_disk`` or ``rlp_against_sphere_disk`` decides.
+    Each corner is built once per i and each cotensor once per shape, so
+    no box and no square system is built.  ``cap`` bounds every matrix of
+    the closed forms; a larger one raises ResourceCapError.
+    """
+    from .classify import cotensor_map
+
+    cotensors = {}
+    corners = {}
+
+    def cotensors_at(k: ss.SSet):
+        if k not in cotensors:
+            cotensors[k] = (so.cotensor0(q.source, k), so.cotensor0(q.target, k))
+        return cotensors[k]
+
+    def corner(part: str, i: ss.SSetMap) -> ChainMap:
+        if part not in corners:
+            xk, yk = cotensors_at(i.source)
+            xl, yl = cotensors_at(i.target)
+            corners[part] = cotensor_map(q, i, xl, xk, yl, yk).map
+        return corners[part]
+
+    out = []
+    for family in families:
+        members = _members(family, q.source.N, window, n_range)
+        decide = _CHAIN_PARTS[family][2]
+        for label, m, part, i in members:
+            out.append((label, decide(corner(part, i), m, cap)))
+    return out

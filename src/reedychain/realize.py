@@ -147,7 +147,8 @@ def realize_constant_comparison(a: ChainComplex, N: int) -> ChainMap:
 
 
 def sing(a: ChainComplex, N: int) -> SimplicialObject:
-    """Level n is hom(simplex chains, a); operators precompose."""
+    """Level n is hom(simplex chains, a); operators precompose.  Each level
+    is built once and shared by the operators into and out of it."""
     p = a.p
     levels = tuple(hom_complex(simplex_chains(p, N, n), a) for n in range(N + 1))
     faces = []
@@ -155,14 +156,18 @@ def sing(a: ChainComplex, N: int) -> SimplicialObject:
         row = []
         for i in range(n + 1):
             cm = simplex_chains_map(p, N, coface_tuple(n, i), n)
-            row.append(hom_precompose(simplex_chains(p, N, n), a, cm))
+            row.append(
+                hom_precompose(simplex_chains(p, N, n), a, cm, levels[n], levels[n - 1])
+            )
         faces.append(tuple(row))
     degens = []
     for n in range(N):
         row = []
         for i in range(n + 1):
             cm = simplex_chains_map(p, N, codegen_tuple(n, i), n)
-            row.append(hom_precompose(simplex_chains(p, N, n), a, cm))
+            row.append(
+                hom_precompose(simplex_chains(p, N, n), a, cm, levels[n], levels[n + 1])
+            )
         degens.append(tuple(row))
     return SimplicialObject(N, levels, tuple(faces), tuple(degens))
 
@@ -172,6 +177,7 @@ def sing_map(g: ChainMap, N: int) -> SimplicialMap:
     tgt = sing(g.target, N)
     p = g.p
     lv = tuple(
-        hom_postcompose(simplex_chains(p, N, n), g) for n in range(N + 1)
+        hom_postcompose(simplex_chains(p, N, n), g, src.level(n), tgt.level(n))
+        for n in range(N + 1)
     )
     return SimplicialMap(src, tgt, lv)

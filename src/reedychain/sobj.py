@@ -12,6 +12,7 @@ once the latching map is known to be injective (Dold-Kan splitting).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,13 +462,16 @@ def matching_map_of(
 @dataclass(frozen=True)
 class Cotensor:
     """Chain complex of operator-compatible families (x_sigma) indexed by
-    the simplices of K."""
+    the simplices of K, included into ``amb``, the sum of the levels of
+    ``x`` over ``components`` in order.  In degree t, component c takes
+    the rows ``offsets[t][c]`` up to ``offsets[t][c + 1]`` of ``amb``."""
 
     obj: ChainComplex
     incl: ChainMap
     amb: ChainComplex
     components: tuple[tuple[int, int], ...]
-    projs: tuple[ChainMap, ...]
+    offsets: dict[int, tuple[int, ...]]
+    x: SimplicialObject
 
 
 def cotensor0(x: SimplicialObject, k: ss.SSet) -> Cotensor:
@@ -489,8 +493,9 @@ def cotensor0(x: SimplicialObject, k: ss.SSet) -> Cotensor:
     )
     if not components:
         z = zero_complex(p)
-        return Cotensor(z, zero_map(z, z), z, components, ())
-    amb, _, projs = direct_sum_with_maps([x.level(n) for n, _ in components])
+        return Cotensor(z, zero_map(z, z), z, components, {}, x)
+    parts = [x.level(n) for n, _ in components]
+    amb = direct_sum(parts)
     ez = ss.ez_decomposition(k)
     nondeg = [(n, idx) for n, idx in components if not ez[n][idx][2]]
     red, _, red_projs = direct_sum_with_maps([x.level(n) for n, _ in nondeg])
@@ -519,11 +524,27 @@ def cotensor0(x: SimplicialObject, k: ss.SSet) -> Cotensor:
         for t in amb.degrees()
     }
     obj, incl = subcomplex(amb, bases)
-    return Cotensor(obj, incl, amb, components, tuple(projs))
+    offsets = {
+        t: tuple(itertools.accumulate((q.dim(t) for q in parts), initial=0))
+        for t in amb.degrees()
+    }
+    return Cotensor(obj, incl, amb, components, offsets, x)
+
+
+def _components_of(ct: Cotensor, picked: list[int], target: ChainComplex) -> ChainMap:
+    """The map X^K -> target whose degree-t block stacks the rows of
+    ``incl`` at the components ``picked``, in that order."""
+    blocks = {}
+    for t in ct.obj.degrees():
+        off = ct.offsets[t]
+        rows = [r for c in picked for r in range(off[c], off[c + 1])]
+        blocks[t] = FpMatrix(ct.obj.p, ct.incl.block(t).a[rows])
+    return ChainMap.build(ct.obj, target, blocks)
 
 
 def cotensor_component(ct: Cotensor, n: int, idx: int) -> ChainMap:
-    return ct.projs[ct.components.index((n, idx))] @ ct.incl
+    """The value x_sigma at the simplex sigma = (n, idx), as a map X^K -> X_n."""
+    return _components_of(ct, [ct.components.index((n, idx))], ct.x.level(n))
 
 
 def yoneda_projection(x: SimplicialObject, n: int, ct: Cotensor | None = None) -> ChainMap:
@@ -547,12 +568,9 @@ def cotensor_restrict(
         ct_big = cotensor0(x, i.target)
     if ct_small is None:
         ct_small = cotensor0(x, i.source)
-    picked = [
-        ct_big.projs[ct_big.components.index((n, i.apply(n, idx)))]
-        for (n, idx) in ct_small.components
-    ]
-    _, r = _stack_into_sum(picked, ct_big.amb, x.p)
-    return factor_through_mono(ct_small.incl, r @ ct_big.incl)
+    index = {c: j for j, c in enumerate(ct_big.components)}
+    picked = [index[(n, i.apply(n, idx))] for (n, idx) in ct_small.components]
+    return factor_through_mono(ct_small.incl, _components_of(ct_big, picked, ct_small.amb))
 
 
 def cotensor_apply(

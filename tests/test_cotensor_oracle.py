@@ -10,6 +10,7 @@ the basis this kernel has.
 """
 
 import itertools
+from typing import NamedTuple
 
 import pytest
 
@@ -32,12 +33,23 @@ MAP_KINDS = tuple(k for k in sm.KINDS if k != "random_sobj")
 # reference path
 
 
-def all_simplex_cotensor(x: so.SimplicialObject, k: ss.SSet) -> so.Cotensor:
+class Reference(NamedTuple):
+    """X^K as a subcomplex of the sum over every simplex of K, with the
+    dense projections of that sum onto its summands."""
+
+    obj: ch.ChainComplex
+    incl: ch.ChainMap
+    amb: ch.ChainComplex
+    components: tuple[tuple[int, int], ...]
+    projs: tuple[ch.ChainMap, ...]
+
+
+def all_simplex_cotensor(x: so.SimplicialObject, k: ss.SSet) -> Reference:
     p = x.p
     components = tuple((n, idx) for n in range(k.N + 1) for idx in range(k.card(n)))
     if not components:
         z = ch.zero_complex(p)
-        return so.Cotensor(z, ch.zero_map(z, z), z, components, ())
+        return Reference(z, ch.zero_map(z, z), z, components, ())
     amb, _, projs = ch.direct_sum_with_maps([x.level(n) for n, _ in components])
     comp_index = {c: i for i, c in enumerate(components)}
     conds = []
@@ -57,7 +69,7 @@ def all_simplex_cotensor(x: so.SimplicialObject, k: ss.SSet) -> so.Cotensor:
                 )
     _, cond_map = so._stack_into_sum(conds, amb, p)
     obj, incl = ch.kernel_complex(cond_map)
-    return so.Cotensor(obj, incl, amb, components, tuple(projs))
+    return Reference(obj, incl, amb, components, tuple(projs))
 
 
 def ambient_dim(x: so.SimplicialObject, k: ss.SSet) -> int:
@@ -70,7 +82,8 @@ def assert_same_cotensor(x, k):
     assert got.incl == want.incl
     assert got.amb == want.amb
     assert got.components == want.components
-    assert got.projs == want.projs
+    for (n, idx), proj in zip(want.components, want.projs):
+        assert so.cotensor_component(got, n, idx) == proj @ want.incl
 
 
 # ---------------------------------------------------------------------------

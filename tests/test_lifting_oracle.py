@@ -1,0 +1,171 @@
+"""Differential tests of lifting through the cotensor corner against the
+square-system decision on boxed generators.
+
+``lifting.generator_rlp`` decides whether f box i has the universal RLP
+against q from the corner map of q along i and a closed form in the chain
+generator f.  The reference is the path it replaced: build the box with
+``classify.pushout_product`` and decide with ``lifting.has_universal_rlp``,
+which solves for the span of commuting squares and the image of the hom
+space.  The J check's report is compared whole against the report that
+path gave, with the equifibered verdict read from ``classify``.
+"""
+
+import pytest
+
+from reedychain import chain as ch
+from reedychain import classify as cl
+from reedychain import harness as hn
+from reedychain import lifting as lf
+from reedychain import sampling as sm
+from reedychain import sobj as so
+from reedychain.errors import ResourceCapError
+
+P = 101
+N = 2
+CAP = 512
+DIM_BOUND = 8
+FAMILIES = ("I", "J'", "J''")
+WINDOW = (-1, 3)
+N_RANGE = (0, 2)
+KINDS = ("reedy_fibration", "reedy_cofibration", "trivial_fibration", "equifibered_fibration")
+
+
+# ---------------------------------------------------------------------------
+# reference path
+
+
+def boxes(families, window, n_range) -> list[lf.Generator]:
+    return [m for fam in families for m in lf.generators(fam, P, N, window, n_range).members]
+
+
+def reference_report(pm, families, window, n_range, members) -> dict:
+    """check_j_injective_vs_equifibered by boxes, square systems and a full
+    classify; ``members`` are the boxes of the families."""
+    results = [{"label": m.label, "rlp": lf.has_universal_rlp(m.map, pm)} for m in members]
+    rlp_all = all(r["rlp"] for r in results)
+    equif = cl.classify(pm, check_invariant=False).equifibered
+    violations = [r for r in results if not r["rlp"]] if equif and not rlp_all else []
+    return {
+        "check": "j-vs-equifibered",
+        "p": pm.source.p,
+        "N": pm.source.N,
+        "families": list(families),
+        "window": list(window),
+        "n_range": list(n_range),
+        "members": results,
+        "rlp_all": rlp_all,
+        "equifibered": equif,
+        "agreement": rlp_all == equif,
+        "caveat": (
+            "lifting against the finite generator window is necessary for an "
+            "equifibered fibration; the converse is not asserted at finite truncation"
+        ),
+        "violations": violations,
+        "status": "violation" if violations else "ok",
+    }
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def bounded_sample(kind: str, seed: int) -> so.SimplicialMap:
+    """A sampled map at cap 512 with every level dimension at most 8,
+    scanning forward from the seed as acceptance a08 does."""
+    while True:
+        try:
+            f = sm.sample(kind, P, N, seed=seed, cap=CAP)
+        except ResourceCapError:
+            f = None
+        if f is not None and all(
+            x.level(n).total_dim() <= DIM_BOUND for x in (f.source, f.target) for n in range(N + 1)
+        ):
+            return f
+        seed += 100003
+
+
+def maps():
+    out = [(f"{kind}:{s}", bounded_sample(kind, s)) for kind in KINDS for s in range(4)]
+    for s in range(8):
+        out.append((f"small:{s}", sm.random_small_map(P, N, sm.rng_for(f"lifting-oracle:{s}"))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_corner_verdicts_match_boxes():
+    """Every member of I, J' and J'' over degrees -1..3 and simplices 0..2,
+    on 16 bounded samples of four kinds and 8 random_small_map draws: the
+    J check's report equals the square-system reference key for key."""
+    members = boxes(FAMILIES, WINDOW, N_RANGE)
+    negatives = 0
+    for name, pm in maps():
+        got = hn.check_j_injective_vs_equifibered(pm, FAMILIES, WINDOW, N_RANGE)
+        want = reference_report(pm, FAMILIES, WINDOW, N_RANGE, members)
+        assert got == want, name
+        negatives += sum(not r["rlp"] for r in got["members"])
+    # the agreement must not be vacuous
+    assert negatives >= 50
+
+
+def _universal_rlp_at_chain_level(f: ch.ChainMap, c: ch.ChainMap) -> bool:
+    return lf.has_universal_rlp(so.constant_map(0, f), so.constant_map(0, c))
+
+
+def _hand_built_maps():
+    s0, s1 = ch.sphere(P, 0), ch.sphere(P, 1)
+    d1 = ch.disk(P, 1)
+    mixed = ch.direct_sum([s0, d1, s1])
+    return {
+        "identity": ch.identity_map(mixed),
+        "zero-to-sphere": ch.zero_map(ch.zero_complex(P), s1),
+        # onto in every degree, but the cycle of S^0 has no preimage bounding it
+        "sphere-to-zero": ch.zero_map(s0, ch.zero_complex(P)),
+        "disk-to-zero": ch.zero_map(d1, ch.zero_complex(P)),
+        "sphere-into-disk": ch.sphere_disk_inclusion(P, 1),
+    }
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_hand_built_maps()))
+def test_closed_forms_match_chain_level_lifting(name, m):
+    c = _hand_built_maps()[name]
+    assert lf.rlp_against_disk(c, m) == _universal_rlp_at_chain_level(ch.disk_from_zero(P, m), c)
+    assert lf.rlp_against_sphere_disk(c, m) == _universal_rlp_at_chain_level(
+        ch.sphere_disk_inclusion(P, m), c
+    )
+
+
+def test_closed_forms_on_hand_built_maps():
+    maps_ = _hand_built_maps()
+    for m in (-1, 0, 1, 2):
+        assert lf.rlp_against_disk(maps_["identity"], m)
+        assert lf.rlp_against_sphere_disk(maps_["identity"], m)
+        assert lf.rlp_against_sphere_disk(maps_["disk-to-zero"], m)
+    # 0 -> S^1 is not onto in degree 1
+    assert not lf.rlp_against_disk(maps_["zero-to-sphere"], 1)
+    assert lf.rlp_against_disk(maps_["zero-to-sphere"], 0)
+    # S^0 -> 0 is onto in degree 1, yet the square (x, 0) on the cycle x
+    # of S^0 has no lift, since S^0 has nothing in degree 1
+    assert lf.rlp_against_disk(maps_["sphere-to-zero"], 1)
+    assert not lf.rlp_against_sphere_disk(maps_["sphere-to-zero"], 1)
+
+
+def test_corner_path_honours_cap():
+    pm = bounded_sample("equifibered_fibration", 0)
+    with pytest.raises(ResourceCapError):
+        hn.check_j_injective_vs_equifibered(pm, window=(0, 1), n_range=(0, 1), cap=1)
+    with pytest.raises(ResourceCapError):
+        lf.rlp_against_sphere_disk(ch.identity_map(ch.disk(P, 1)), 1, cap=1)
+    assert lf.rlp_against_sphere_disk(ch.identity_map(ch.disk(P, 1)), 1, cap=2)
+
+
+def test_generator_rlp_refuses_what_generators_refuses():
+    q = so.identity_smap(so.constant(N, ch.sphere(P, 0)))
+    for family, window, n_range in (("K", (0, 1), (0, 1)), ("J'", (1, 0), (0, 1))):
+        with pytest.raises(ValueError):
+            lf.generators(family, P, N, window, n_range)
+        with pytest.raises(ValueError):
+            lf.generator_rlp(q, [family], window, n_range)
