@@ -334,8 +334,13 @@ def check_j_injective_vs_equifibered(
     through the cotensor corners of pm; ``cap`` bounds its matrices.  The
     equifibered verdict is classify's: pm is a Reedy fibration whose face
     squares are homotopy cartesian.  A violation is an equifibered pm that
-    fails to lift against some member.
+    fails to lift against some member.  Only J' and J'' are accepted:
+    lifting against I characterizes the trivial fibrations, so a failure
+    against I says nothing about the equifibered condition.
     """
+    bad = [fam for fam in families if fam not in ("J'", "J''")]
+    if bad:
+        raise ValueError(f"families {bad} are not J-families; choose from J', J''")
     prime = pm.source.p
     N = pm.source.N
     nr = (0, min(2, N)) if n_range is None else n_range

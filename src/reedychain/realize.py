@@ -1,36 +1,21 @@
-"""Geometric-realization coend and its singular counterpart.
+"""Geometric realization and its right adjoint, the singular construction.
 
-``realize`` glues levels against simplex chains: the cokernel of the
-relation map assembled over elementary cofaces and codegeneracies (the
-relation for a composite operator is implied).  ``sing`` is the levelwise
-hom out of simplex chains, with operators acting by precomposition.  Both
-stay inside the truncation everywhere.
+Over a field the realization |Y|, the coend of Y_n tensor N(Delta^n), is
+the normalized total complex of Y (Dold-Kan; Goerss-Jardine III.2), so
+``realize`` returns ``totals.total_complex(y, "normalized")`` and maps
+realize through ``totals.total_map``.  ``sing`` is the levelwise hom out
+of simplex chains, with operators acting by precomposition.  Both stay
+inside the truncation everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ssets as ss
-from .chain import (
-    ChainComplex,
-    ChainMap,
-    cokernel_complex,
-    direct_sum_with_maps,
-    hom_complex,
-    hom_postcompose,
-    hom_precompose,
-    identity_map,
-    sphere,
-    tensor_complexes,
-    tensor_maps,
-)
-from .errors import ValidationFailure
-from .linalg import FpMatrix, block_diag
-from .sobj import SimplicialMap, SimplicialObject, _glue_out_of_sum
-
-import numpy as np
+from .chain import ChainComplex, ChainMap, hom_complex, hom_postcompose, hom_precompose
+from .sobj import SimplicialMap, SimplicialObject
+from .totals import TotalComplex, total_complex
 
 
 @lru_cache(maxsize=None)
@@ -52,94 +37,9 @@ def codegen_tuple(n: int, i: int) -> tuple[int, ...]:
     return tuple(v if v <= i else v - 1 for v in range(n + 2))
 
 
-@dataclass(frozen=True)
-class Realization:
-    obj: ChainComplex
-    amb: ChainComplex
-    proj: ChainMap
-    sects: dict
-    incs: tuple[ChainMap, ...]
-    summands: tuple[ChainComplex, ...]
-
-
-def realize(y: SimplicialObject) -> Realization:
-    """Coend of level tensor simplex-chains over the truncated index
-    category, presented by elementary operator relations."""
-    p, N = y.p, y.N
-    summands = tuple(
-        tensor_complexes(y.level(n), simplex_chains(p, N, n)) for n in range(N + 1)
-    )
-    amb, incs, _ = direct_sum_with_maps(list(summands))
-    rels = []
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            theta = coface_tuple(n, i)
-            cm = simplex_chains_map(p, N, theta, n)
-            rels.append(
-                incs[n - 1] @ tensor_maps(y.face(n, i), identity_map(cm.source))
-                - incs[n] @ tensor_maps(identity_map(y.level(n)), cm)
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            theta = codegen_tuple(n, i)
-            cm = simplex_chains_map(p, N, theta, n)
-            rels.append(
-                incs[n + 1] @ tensor_maps(y.degen(n, i), identity_map(cm.source))
-                - incs[n] @ tensor_maps(identity_map(y.level(n)), cm)
-            )
-    _, rel_map = _glue_out_of_sum(rels, amb, p)
-    q, proj, sects = cokernel_complex(rel_map)
-    return Realization(q, amb, proj, sects, tuple(incs), summands)
-
-
-def realize_map(
-    f: SimplicialMap, rx: Realization | None = None, ry: Realization | None = None
-) -> ChainMap:
-    if rx is None:
-        rx = realize(f.source)
-    if ry is None:
-        ry = realize(f.target)
-    p, N = f.p, f.source.N
-    per = [
-        tensor_maps(f.level(n), identity_map(simplex_chains(p, N, n)))
-        for n in range(N + 1)
-    ]
-    blocks = {}
-    for t in rx.obj.degrees():
-        big = block_diag(p, [m.block(t) for m in per])
-        blocks[t] = ry.proj.block(t) @ big @ rx.sects[t]
-    return ChainMap.build(rx.obj, ry.obj, blocks)
-
-
-def augmentation(p: int, N: int, n: int) -> ChainMap:
-    """Simplex chains to the point: every vertex to the generator."""
-    c = simplex_chains(p, N, n)
-    pt = sphere(p, 0)
-    row = np.ones((1, c.dim(0)), dtype=np.int64)
-    return ChainMap.build(c, pt, {0: FpMatrix(p, row)})
-
-
-def realize_constant_comparison(a: ChainComplex, N: int) -> ChainMap:
-    """The iso from the realization of the constant object back to its
-    value, induced by the augmentations."""
-    from .sobj import constant
-
-    p = a.p
-    r = realize(constant(N, a))
-    legs = []
-    for n in range(N + 1):
-        aug = augmentation(p, N, n)
-        leg = tensor_maps(identity_map(a), aug)
-        if leg.target != a:
-            raise ValidationFailure("tensor with the point did not collapse")
-        legs.append(leg)
-    blocks = {}
-    for t in r.obj.degrees():
-        from .linalg import hstack
-
-        u = hstack([legs[n].block(t) for n in range(N + 1)])
-        blocks[t] = u @ r.sects[t]
-    return ChainMap.build(r.obj, a, blocks)
+def realize(y: SimplicialObject) -> TotalComplex:
+    """The realization of y: its normalized total complex, read from ``.obj``."""
+    return total_complex(y, "normalized")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Every map-valued kind is built constructively inside the advertised class
 (projections with fibrant complements, Sing of surjections, pullbacks and
-composites of those, pushouts of generator cofibrations) and then re-checked
-with the classifiers before it is returned.  A sample that fails its own
-membership check is a bug, not a retry.
+composites of those, pushouts of generator cofibrations).  ``draw`` returns
+the validated build; ``sample`` also re-checks it with the classifiers.  A
+sample that fails its own membership check is a bug, not a retry.
 """
 
 from __future__ import annotations
@@ -388,8 +388,10 @@ _REQUIRED = {
 }
 
 
-def sample(kind: str, p: int, N: int, seed: int, cap=None):
-    """Draw one sample of the given kind; deterministic in (kind, p, N, seed)."""
+def draw(kind: str, p: int, N: int, seed: int, cap=None):
+    """Build and validate one sample of the given kind without classifying
+    it; deterministic in (kind, p, N, seed), and the map ``sample`` returns
+    for the same arguments."""
     if kind not in KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; choose from {KINDS}")
     rng = rng_for(f"{kind}:{p}:{N}:{seed}")
@@ -399,10 +401,19 @@ def sample(kind: str, p: int, N: int, seed: int, cap=None):
         return x
     f = _BUILDERS[kind](p, N, rng, cap)
     so.validate_smap(f)
-    cls = cl.classify(f, check_invariant=kind != "reedy_cofibration")
+    return f
+
+
+def sample(kind: str, p: int, N: int, seed: int, cap=None):
+    """Draw one sample of the given kind and check, with the classifiers,
+    that it lies in its advertised class."""
+    out = draw(kind, p, N, seed, cap)
+    if kind == "random_sobj":
+        return out
+    cls = cl.classify(out, check_invariant=kind != "reedy_cofibration")
     for attr in _REQUIRED[kind]:
         if not getattr(cls, attr):
             raise InternalInvariantError(
                 f"sampler for {kind!r} produced a map failing {attr}"
             )
-    return f
+    return out

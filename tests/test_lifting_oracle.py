@@ -24,7 +24,7 @@ P = 101
 N = 2
 CAP = 512
 DIM_BOUND = 8
-FAMILIES = ("I", "J'", "J''")
+J_FAMILIES = ("J'", "J''")
 WINDOW = (-1, 3)
 N_RANGE = (0, 2)
 KINDS = ("reedy_fibration", "reedy_cofibration", "trivial_fibration", "equifibered_fibration")
@@ -71,16 +71,17 @@ def reference_report(pm, families, window, n_range, members) -> dict:
 
 def bounded_sample(kind: str, seed: int) -> so.SimplicialMap:
     """A sampled map at cap 512 with every level dimension at most 8,
-    scanning forward from the seed as acceptance a08 does."""
+    scanning unclassified draws forward from the seed as acceptance a08
+    does; only the accepted draw is classified."""
     while True:
         try:
-            f = sm.sample(kind, P, N, seed=seed, cap=CAP)
+            f = sm.draw(kind, P, N, seed=seed, cap=CAP)
         except ResourceCapError:
             f = None
         if f is not None and all(
             x.level(n).total_dim() <= DIM_BOUND for x in (f.source, f.target) for n in range(N + 1)
         ):
-            return f
+            return sm.sample(kind, P, N, seed=seed, cap=CAP)
         seed += 100003
 
 
@@ -98,16 +99,36 @@ def maps():
 def test_corner_verdicts_match_boxes():
     """Every member of I, J' and J'' over degrees -1..3 and simplices 0..2,
     on 16 bounded samples of four kinds and 8 random_small_map draws: the
-    J check's report equals the square-system reference key for key."""
-    members = boxes(FAMILIES, WINDOW, N_RANGE)
+    J check's report equals the square-system reference key for key, and
+    the corner verdicts on I equal the reference verdicts."""
+    i_members = boxes(("I",), WINDOW, N_RANGE)
+    j_members = boxes(J_FAMILIES, WINDOW, N_RANGE)
+    assert len(i_members) + len(j_members) == 55
     negatives = 0
     for name, pm in maps():
-        got = hn.check_j_injective_vs_equifibered(pm, FAMILIES, WINDOW, N_RANGE)
-        want = reference_report(pm, FAMILIES, WINDOW, N_RANGE, members)
+        got_i = lf.generator_rlp(pm, ["I"], WINDOW, N_RANGE)
+        want_i = [(m.label, lf.has_universal_rlp(m.map, pm)) for m in i_members]
+        assert got_i == want_i, name
+        got = hn.check_j_injective_vs_equifibered(pm, J_FAMILIES, WINDOW, N_RANGE)
+        want = reference_report(pm, J_FAMILIES, WINDOW, N_RANGE, j_members)
         assert got == want, name
+        negatives += sum(not ok for _, ok in got_i)
         negatives += sum(not r["rlp"] for r in got["members"])
     # the agreement must not be vacuous
     assert negatives >= 50
+
+
+def test_j_check_refuses_non_j_families():
+    """Lifting against I characterizes trivial fibrations, not equifibered
+    ones: the J check refuses I rather than report its failures as
+    violations.  The equifibered sample from seed 2 fails against I."""
+    pm = bounded_sample("equifibered_fibration", 2)
+    assert not all(ok for _, ok in lf.generator_rlp(pm, ["I"], WINDOW, N_RANGE))
+    for families in (("I",), ("I", "J'", "J''"), ("J'", "K")):
+        with pytest.raises(ValueError):
+            hn.check_j_injective_vs_equifibered(pm, families, WINDOW, N_RANGE)
+    rep = hn.check_j_injective_vs_equifibered(pm, J_FAMILIES, WINDOW, N_RANGE)
+    assert rep["equifibered"] and rep["status"] == "ok"
 
 
 def _universal_rlp_at_chain_level(f: ch.ChainMap, c: ch.ChainMap) -> bool:

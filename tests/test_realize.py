@@ -1,8 +1,9 @@
-"""Oracles for the realization coend and its right adjoint direction.
+"""Realization and its right adjoint, sing.
 
-The constant-object comparison (augmentation) being an isomorphism is the
-load-bearing fact; the tensor cases cross-check against simplex chains
-computed by the independent simplicial-set module.
+Realization of a constant object gives back its value; the tensor cases
+cross-check against simplex chains computed by the independent
+simplicial-set module.  The coend presentation of the realization is the
+reference in test_realize_oracle.
 """
 
 import pytest
@@ -16,16 +17,19 @@ from reedychain import totals as tt
 P = 7
 
 
-def test_realize_constant_comparison_is_iso():
+def test_realize_of_constant_is_the_complex():
+    """The realization of the constant object at a is a itself, for
+    spheres, disks, sums and the zero complex at N = 1..3."""
     for a in (
+        ch.sphere(P, 0),
+        ch.sphere(P, 2),
+        ch.disk(P, 1),
         ch.direct_sum([ch.sphere(P, 0), ch.sphere(P, 1)]),
-        ch.disk(P, 2),
+        ch.direct_sum([ch.sphere(P, -1), ch.disk(P, 2)]),
         ch.zero_complex(P),
     ):
         for n in (1, 2, 3):
-            cmp_map = rz.realize_constant_comparison(a, n)
-            assert cmp_map.target == a
-            assert ch.is_iso(cmp_map)
+            assert rz.realize(so.constant(n, a)).obj == a
 
 
 def test_realize_validates():
@@ -40,31 +44,6 @@ def test_realize_tensor_matches_simplex_chains():
         r = rz.realize(so.tensor_with_sset(a, k))
         ref = ch.tensor_complexes(a, ss.normalized_chains(k, P))
         assert ch.homology_dims(r.obj) == ch.homology_dims(ref)
-
-
-def test_realize_agrees_with_normalized_total_on_skeletal():
-    cases = [
-        so.constant(2, ch.direct_sum([ch.sphere(P, 0), ch.disk(P, 2)])),
-        so.tensor_with_sset(ch.sphere(P, 1), ss.delta(2, 1)),
-        so.tensor_with_sset(ch.disk(P, 1), ss.boundary_inclusion(2, 2).source),
-    ]
-    for y in cases:
-        assert tt.is_skeletal(y)
-        r = rz.realize(y)
-        t = tt.total_complex(y, mode="normalized")
-        assert ch.homology_dims(r.obj) == ch.homology_dims(t.obj)
-
-
-def test_realize_map_functorial():
-    k = ss.delta(2, 1)
-    f = ch.sphere_disk_inclusion(P, 1)
-    sf = so.tensor_chain_map(f, k)
-    rx = rz.realize(sf.source)
-    ry = rz.realize(sf.target)
-    m = rz.realize_map(sf, rx, ry)
-    ch.validate_map(m)
-    ident = rz.realize_map(so.identity_smap(sf.source), rx, rx)
-    assert ident == ch.identity_map(rx.obj)
 
 
 def test_sing_levels_are_quasi_isomorphic_to_target():

@@ -67,6 +67,16 @@ def test_sample_is_deterministic_per_seed():
         assert a == b, kind
 
 
+def test_draw_is_the_sample_unclassified():
+    """Size scans reject on ``draw`` and classify only the accepted seed,
+    so the two must return the same build."""
+    for kind in sm.KINDS:
+        for s in range(3):
+            assert sm.draw(kind, P, N, seed=s) == sm.sample(kind, P, N, seed=s), (kind, s)
+    with pytest.raises(ValueError):
+        sm.draw("nope", P, N, seed=0)
+
+
 def test_sample_varies_with_seed():
     # not every pair differs, but across a few seeds something must
     for kind in sm.KINDS:
