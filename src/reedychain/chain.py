@@ -470,16 +470,16 @@ def kernel_complex(f: ChainMap):
     return subcomplex(f.source, {t: kernel_basis(f.block(t)) for t in f.source.degrees()})
 
 
-def cokernel_complex(f: ChainMap):
-    """(Q, proj, sect) with Q_t = target_t / im f_t.
+def quotient_complex(b: ChainComplex, spans: dict):
+    """(Q, proj, sect) with Q_t = b_t / (column span of spans[t]) for every
+    degree t of b; the spans must form a subcomplex.
 
     sect maps degree -> a linear (not chain) section of proj used to induce
     maps out of the quotient.
     """
-    b = f.target
     projs, sects = {}, {}
     for t in b.degrees():
-        pr, se = quotient_by_columns(f.block(t), b.dim(t))
+        pr, se = quotient_by_columns(spans[t], b.dim(t))
         projs[t], sects[t] = pr, se
     dims = [projs[t].rows for t in b.degrees()]
     diffs = {}
@@ -489,6 +489,11 @@ def cokernel_complex(f: ChainMap):
     q = ChainComplex.build(b.p, b.lo, dims, diffs)
     proj = ChainMap.build(b, q, {t: projs[t] for t in b.degrees()})
     return q, proj, sects
+
+
+def cokernel_complex(f: ChainMap):
+    """(Q, proj, sect) with Q_t = target_t / im f_t, as in quotient_complex."""
+    return quotient_complex(f.target, {t: f.block(t) for t in f.target.degrees()})
 
 
 @dataclass(frozen=True)

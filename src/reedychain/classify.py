@@ -2,9 +2,10 @@
 
 Every predicate reduces to exact rank computations: levelwise mapping
 cones for the weak equivalences, levelwise injectivity for the
-cofibrations, a closed form over the Moore levels for the fibrations, and
-corner maps for the equifibered condition.  Failing classifiers come with
-a witness locating the first level and degree where the defect appears.
+cofibrations, a closed form over the normalized levels for the fibrations,
+and corner maps for the equifibered condition.  Failing classifiers come
+with a witness locating the first level and degree where the defect
+appears.
 
 Over a field every simplicial object splits (Dold-Kan): the latching map
 is the inclusion of the degeneracy span D_nX, so f is a Reedy cofibration
@@ -22,7 +23,10 @@ Objects, 17).  Comparing it with the sequence of Y shows that the relative
 matching map X_n -> Y_n x_{M_nY} M_nX is onto iff f maps Z_nX onto Z_nY and,
 for n >= 1, H_{n-1}X -> H_{n-1}Y is injective.  Both criteria hold or fail
 degree by degree, so the witnesses match those of the relative latching
-and matching maps.
+and matching maps.  The Moore complex is naturally isomorphic to the
+normalized complex X_n/D_nX degree by degree (Dold-Kan), so Z_n and H_{n-1}
+are read off the normalized total that the realization verdict also uses:
+``classify`` builds each end's total once and hands it to both.
 """
 
 from dataclasses import dataclass
@@ -86,33 +90,40 @@ def reedy_cof_witness(f: SimplicialMap):
     return None
 
 
-def _moore_cycles(tot: tt.TotalComplex, n: int, t: int):
-    """Basis of Z_n = ker d'_n at degree t, as columns over N_n; Z_0 = N_0."""
+def _cycles(tot: tt.TotalComplex, n: int, t: int):
+    """Basis of Z_n = ker d'_n at degree t, as columns over level n; Z_0 is
+    all of level 0."""
     if n == 0:
         return eye(tot.obj.p, tot.levels[0].dim(t))
     return kernel_basis(tot.dprimes[n - 1].block(t))
 
 
-def reedy_fib_witness(f: SimplicialMap):
+def reedy_fib_witness(
+    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
+):
     """(level, degree) of the first failure of Moore's criterion: f maps
-    Z_nX onto Z_nY and, for n >= 1, is injective on H_{n-1}."""
-    tx = tt.total_complex(f.source, "moore")
-    ty = tt.total_complex(f.target, "moore")
-    fn = tt.level_maps(f, "moore", tx, ty)
+    Z_nX onto Z_nY and, for n >= 1, is injective on H_{n-1}.  Read off the
+    normalized totals, which are naturally isomorphic to the Moore
+    complexes level by level; totals passed in are used as given."""
+    if tx is None:
+        tx = tt.total_complex(f.source, "normalized")
+    if ty is None:
+        ty = tt.total_complex(f.target, "normalized")
+    fn = tt.level_maps(f, tx, ty)
     for n in range(f.source.N + 1):
         # a defect needs Z_nY or H_{n-1}X nonzero in its degree
         degs = set(ty.levels[n].degrees())
         if n >= 1:
             degs |= set(tx.levels[n - 1].degrees())
         for t in sorted(degs):
-            zx = _moore_cycles(tx, n, t)
-            if (fn[n].block(t) @ zx).rank() != _moore_cycles(ty, n, t).cols:
+            zx = _cycles(tx, n, t)
+            if (fn[n].block(t) @ zx).rank() != _cycles(ty, n, t).cols:
                 return (n, t)
             if n == 0:
                 continue
             # H_{n-1}X -> H_{n-1}Y is injective iff its image
             # (f Z_{n-1}X + B_{n-1}Y) / B_{n-1}Y has dim Z_{n-1}X - dim B_{n-1}X
-            zx1 = _moore_cycles(tx, n - 1, t)
+            zx1 = _cycles(tx, n - 1, t)
             by = ty.dprimes[n - 1].block(t)
             image = hstack([fn[n - 1].block(t) @ zx1, by]).rank() - by.rank()
             if image != zx1.cols - tx.dprimes[n - 1].block(t).rank():
@@ -159,15 +170,22 @@ class Classification:
     reedy_cof: bool
     reedy_fib: bool
     equifibered: bool
-    realization_we: bool
-    realization_exact: bool
+    realization: tt.RealizationResult
     reedy_trivial_cof: bool
     reedy_trivial_fib: bool
     witnesses: dict
 
     @property
+    def realization_we(self) -> bool:
+        return self.realization.we
+
+    @property
+    def realization_exact(self) -> bool:
+        return self.realization.exact
+
+    @property
     def realization_flag(self) -> str:
-        return "exact" if self.realization_exact else "truncation-limited"
+        return self.realization.flag
 
 
 def _jsonable_witness(w):
@@ -197,9 +215,11 @@ def classify(f: SimplicialMap, check_invariant: bool = True) -> Classification:
     wits = {}
     lw = level_we_witness(f)
     cw = reedy_cof_witness(f)
-    fw = reedy_fib_witness(f)
+    tx = tt.total_complex(f.source, "normalized")
+    ty = tt.total_complex(f.target, "normalized")
+    fw = reedy_fib_witness(f, tx, ty)
     sq = face_square_witness(f)
-    rr = tt.realization_we(f)
+    rr = tt.realization_we(f, tx, ty)
     if lw is not None:
         wits["level_we"] = lw
     if cw is not None:
@@ -216,8 +236,7 @@ def classify(f: SimplicialMap, check_invariant: bool = True) -> Classification:
         reedy_cof=cw is None,
         reedy_fib=fw is None,
         equifibered=fw is None and sq is None,
-        realization_we=rr.we,
-        realization_exact=rr.exact,
+        realization=rr,
         reedy_trivial_cof=lw is None and cw is None,
         reedy_trivial_fib=lw is None and fw is None,
         witnesses=wits,

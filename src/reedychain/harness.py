@@ -15,6 +15,7 @@ from . import lifting as lf
 from . import sampling as sm
 from . import sobj as so
 from . import ssets as ss
+from . import totals as tt
 from .errors import ValidationFailure
 from .realize import coface_tuple
 
@@ -59,41 +60,36 @@ def check_sm7(f: so.SimplicialMap, i: ss.SSetMap, structure: str) -> dict:
     """
     if structure not in ("reedy", "realization"):
         raise ValueError(f"unknown structure {structure!r}")
-    cf = cl.classify(f, check_invariant=False)
-    if not cf.reedy_cof:
+    if cl.reedy_cof_witness(f) is not None:
         raise ValidationFailure("check_sm7 needs a Reedy cofibration on the chain side")
     if not i.is_injective():
         raise ValidationFailure("check_sm7 needs an injective simplicial set map")
     box = cl.pushout_product(f, i)
-    cb = cl.classify(box, check_invariant=False)
+    cof = cl.reedy_cof_witness(box)
+    lw = cl.level_we_witness(box)
 
     violations = []
-    parts = {"cofibration": cb.reedy_cof, "trivial": None, "weq": None}
-    if not cb.reedy_cof:
-        violations.append({"part": 1, "witness": _jsonable(cb.witnesses.get("reedy_cof"))})
-    if cf.level_we:
-        parts["trivial"] = cb.level_we
-        if not cb.level_we:
-            violations.append({"part": 2, "witness": _jsonable(cb.witnesses.get("level_we"))})
+    parts = {"cofibration": cof is None, "trivial": None, "weq": None}
+    if cof is not None:
+        violations.append({"part": 1, "witness": _jsonable(cof)})
+    if cl.level_we_witness(f) is None:
+        parts["trivial"] = lw is None
+        if lw is not None:
+            violations.append({"part": 2, "witness": _jsonable(lw)})
 
     expected_failure = False
     part3 = "skipped:unknown-weq" if i.weq is None else "skipped:not-weq"
     if i.weq is True:
         if structure == "realization":
-            parts["weq"] = cb.realization_we
+            rr = tt.realization_we(box)
+            parts["weq"] = rr.we
             part3 = "asserted"
-            if not cb.realization_we:
-                violations.append(
-                    {
-                        "part": 3,
-                        "witness": _jsonable(cb.witnesses.get("realization_we")),
-                        "flag": cb.realization_flag,
-                    }
-                )
+            if not rr.we:
+                violations.append({"part": 3, "witness": _jsonable(rr.witness), "flag": rr.flag})
         else:
-            parts["weq"] = cb.level_we
+            parts["weq"] = lw is None
             part3 = "reported"
-            if not cb.level_we:
+            if lw is not None:
                 expected_failure = True
 
     return {
@@ -259,8 +255,8 @@ def check_prop_proof(
         out = []
         if not ch.is_epi(sq.map):
             out.append({"seed": s, "i": label, "clause": "epi"})
-        c = cl.classify(g, check_invariant=False)
-        if c.reedy_trivial_fib and not (ch.is_epi(sq.map) and ch.is_quasi_iso(sq.map)):
+        trivial_fib = cl.level_we_witness(g) is None and cl.reedy_fib_witness(g) is None
+        if trivial_fib and not (ch.is_epi(sq.map) and ch.is_quasi_iso(sq.map)):
             out.append({"seed": s, "i": label, "clause": "trivial"})
         return {"seed": s, "violations": out}
 

@@ -22,11 +22,11 @@ from .chain import (
     ChainComplex,
     ChainMap,
     add_chain_maps,
-    cokernel_complex,
     direct_sum,
     direct_sum_with_maps,
     identity_map,
     kernel_complex,
+    quotient_complex,
     subcomplex,
     validate_complex,
     validate_map,
@@ -328,18 +328,6 @@ def structure_map(x: SimplicialObject, alpha, n: int) -> ChainMap:
     return cur
 
 
-def _glue_out_of_sum(maps: list[ChainMap], target: ChainComplex, p: int):
-    """Direct-sum the sources; the glued map restricts to each given map."""
-    if not maps:
-        d = zero_complex(p)
-        return d, zero_map(d, target)
-    d = direct_sum([m.source for m in maps])
-    blocks = {
-        t: hstack([m.block(t) for m in maps]) for t in d.degrees()
-    }
-    return d, ChainMap.build(d, target, blocks)
-
-
 def _stack_into_sum(maps: list[ChainMap], source: ChainComplex, p: int):
     """Direct-sum the targets; the stacked map has the given components."""
     if not maps:
@@ -386,12 +374,19 @@ class Latching:
     to_level: ChainMap
 
 
-def latching(x: SimplicialObject, n: int) -> Latching:
+def degeneracy_quotient(x: SimplicialObject, n: int):
+    """(Q, proj, sects) with Q = X_n/D_nX, the cokernel of the degeneracies
+    s_i : X_{n-1} -> X_n glued out of their sum, and sects a linear section
+    of proj per degree.  Level 0 has no degeneracies, so Q = X_0."""
+    lvl = x.level(n)
     if n == 0:
-        z = zero_complex(x.p)
-        return Latching(z, zero_map(z, x.level(0)))
-    _, span = _glue_out_of_sum([x.degen(n - 1, i) for i in range(n)], x.level(n), x.p)
-    _, proj, _ = cokernel_complex(span)
+        return lvl, identity_map(lvl), {t: eye(x.p, lvl.dim(t)) for t in lvl.degrees()}
+    spans = {t: hstack([x.degen(n - 1, i).block(t) for i in range(n)]) for t in lvl.degrees()}
+    return quotient_complex(lvl, spans)
+
+
+def latching(x: SimplicialObject, n: int) -> Latching:
+    _, proj, _ = degeneracy_quotient(x, n)
     obj, to_level = kernel_complex(proj)
     return Latching(obj, to_level)
 

@@ -1,10 +1,13 @@
-"""Total complexes of simplicial objects, in three flavors.
+"""Total complexes of simplicial objects, full and normalized.
 
 The full mode sums every level; the normalized mode first divides each
-level by the span of the degeneracy images (the alternating face sum
-descends because its identity terms cancel in pairs); the moore mode
-instead intersects the kernels of all faces but the last.  Normalized and
-moore totals have equal dimensions degree by degree and the same homology.
+level by the span of the degeneracy images, the quotient
+``sobj.degeneracy_quotient`` builds (the alternating face sum descends
+because its identity terms cancel in pairs).  Over a field the normalized
+level X_n/D_nX is naturally isomorphic to the Moore level, the intersection
+of the kernels of all faces but the last, and the alternating sum goes to
+(-1)^n times the last face (Goerss-Jardine III.2), so Moore cycles and
+Moore homology are read off the normalized total.
 
 A truncated object only determines its realization up to the truncation.
 The ``exact`` flag on a realization verdict certifies that nothing was cut:
@@ -17,20 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    ChainComplex,
-    ChainMap,
-    identity_map,
-    kernel_complex,
-    quasi_iso_witness,
-    zero_complex,
-    zero_map,
-)
+from .chain import ChainComplex, ChainMap, quasi_iso_witness, zero_complex
 from .errors import ValidationFailure
-from .linalg import FpMatrix, hstack, quotient_by_columns, vstack
-from .sobj import SimplicialMap, SimplicialObject, factor_through_mono
+from .linalg import FpMatrix, hstack
+from .sobj import SimplicialMap, SimplicialObject, degeneracy_quotient
 
-MODES = ("full", "normalized", "moore")
+MODES = ("full", "normalized")
 
 
 @dataclass(frozen=True)
@@ -40,65 +35,16 @@ class TotalComplex:
     levels: tuple[ChainComplex, ...]
     dprimes: tuple  # dprimes[s-1] : levels[s] -> levels[s-1]
     layout: dict  # n -> tuple of (s, t, dim, offset)
-    witnesses: tuple  # per level: () for full, (proj, sects) or (incl,)
+    witnesses: tuple  # per level: () for full, (proj, sects) for normalized
 
 
 def _alternating_face_sum(x: SimplicialObject, s: int) -> ChainMap:
-    total = zero_map(x.level(s), x.level(s - 1))
-    for i in range(s + 1):
-        total = total + x.face(s, i).scale((-1) ** (i % 2))
-    return total
-
-
-def _normalized_levels(x: SimplicialObject):
-    """Per-level degeneracy quotients with their projection witnesses."""
-    p = x.p
-    levels, wits = [], []
-    for s in range(x.N + 1):
-        lvl = x.level(s)
-        if s == 0:
-            levels.append(lvl)
-            wits.append((identity_map(lvl), {t: np.eye(lvl.dim(t), dtype=np.int64) for t in lvl.degrees()}))
-            continue
-        projs, sects = {}, {}
-        dims = []
-        for t in lvl.degrees():
-            span = hstack([x.degen(s - 1, i).block(t) for i in range(s)])
-            pr, se = quotient_by_columns(span, lvl.dim(t))
-            projs[t], sects[t] = pr, se
-            dims.append(pr.rows)
-        diffs = {}
-        for t in lvl.degrees():
-            if t - 1 in projs and projs[t].rows and projs[t - 1].rows:
-                diffs[t] = projs[t - 1] @ lvl.d(t) @ sects[t]
-        q = ChainComplex.build(p, lvl.lo, dims, diffs)
-        proj = ChainMap.build(lvl, q, projs)
-        wits.append((proj, {t: sects[t].a for t in sects}))
-        levels.append(q)
-    return levels, wits
-
-
-def _moore_levels(x: SimplicialObject):
-    """Per-level intersections of the kernels of all but the last face."""
-    from .chain import direct_sum
-
-    levels, wits = [], []
-    for s in range(x.N + 1):
-        lvl = x.level(s)
-        if s == 0:
-            levels.append(lvl)
-            wits.append((identity_map(lvl),))
-            continue
-        blocks = {
-            t: vstack([x.face(s, i).block(t) for i in range(s)])
-            for t in lvl.degrees()
-        }
-        tgt = direct_sum([x.level(s - 1) for _ in range(s)])
-        stacked = ChainMap.build(lvl, tgt, blocks)
-        k, incl = kernel_complex(stacked)
-        levels.append(k)
-        wits.append((incl,))
-    return levels, wits
+    src = x.level(s)
+    blocks = {
+        t: FpMatrix(x.p, sum((-1) ** i * x.face(s, i).block(t).a for i in range(s + 1)))
+        for t in src.degrees()
+    }
+    return ChainMap.build(src, x.level(s - 1), blocks)
 
 
 def _assemble(levels, dprimes, p: int):
@@ -142,36 +88,23 @@ def _assemble(levels, dprimes, p: int):
 def total_complex(x: SimplicialObject, mode: str = "normalized") -> TotalComplex:
     if mode not in MODES:
         raise ValidationFailure(f"unknown total complex mode {mode!r}")
-    p = x.p
+    alts = [_alternating_face_sum(x, s) for s in range(1, x.N + 1)]
     if mode == "full":
         levels = [x.level(s) for s in range(x.N + 1)]
         wits = tuple(() for _ in levels)
-        dprimes = tuple(_alternating_face_sum(x, s) for s in range(1, x.N + 1))
-    elif mode == "normalized":
-        levels, wit_list = _normalized_levels(x)
-        wits = tuple(wit_list)
+        dprimes = tuple(alts)
+    else:
+        quots = [degeneracy_quotient(x, s) for s in range(x.N + 1)]
+        levels = [q for q, _, _ in quots]
+        wits = tuple((proj, sects) for _, proj, sects in quots)
         dprimes = []
-        for s in range(1, x.N + 1):
-            proj_lo, _ = wit_list[s - 1]
-            _, sects = wit_list[s]
-            alt = _alternating_face_sum(x, s)
-            blocks = {
-                t: proj_lo.block(t) @ alt.block(t) @ FpMatrix(p, sects[t])
-                for t in x.level(s).degrees()
-            }
+        for s, alt in enumerate(alts, start=1):
+            proj_lo, _ = wits[s - 1]
+            _, sects = wits[s]
+            blocks = {t: proj_lo.block(t) @ alt.block(t) @ sects[t] for t in x.level(s).degrees()}
             dprimes.append(ChainMap.build(levels[s], levels[s - 1], blocks))
         dprimes = tuple(dprimes)
-    else:
-        levels, wit_list = _moore_levels(x)
-        wits = tuple(wit_list)
-        dprimes = []
-        for s in range(1, x.N + 1):
-            (incl_s,) = wit_list[s]
-            (incl_lo,) = wit_list[s - 1]
-            last = x.face(s, s).scale((-1) ** (s % 2))
-            dprimes.append(factor_through_mono(incl_lo, last @ incl_s))
-        dprimes = tuple(dprimes)
-    obj, layout = _assemble(levels, dprimes, p)
+    obj, layout = _assemble(levels, dprimes, x.p)
     return TotalComplex(obj, mode, tuple(levels), dprimes, layout, wits)
 
 
@@ -190,31 +123,22 @@ def is_skeletal(x: SimplicialObject) -> bool:
     return True
 
 
-def level_maps(f: SimplicialMap, mode: str, tx: TotalComplex, ty: TotalComplex) -> list[ChainMap]:
+def level_maps(f: SimplicialMap, tx: TotalComplex, ty: TotalComplex) -> list[ChainMap]:
     """The maps f induces between the levels of two totals of one mode:
-    X_s -> Y_s, X_s/D_sX -> Y_s/D_sY or N_sX -> N_sY."""
-    if tx.mode != mode or ty.mode != mode:
-        raise ValidationFailure("total complex mode mismatch")
+    X_s -> Y_s, or X_s/D_sX -> Y_s/D_sY."""
+    if tx.mode != ty.mode:
+        raise ValidationFailure(f"total complex modes differ: {tx.mode!r} and {ty.mode!r}")
+    if tx.mode == "full":
+        return [f.level(s) for s in range(f.source.N + 1)]
     out = []
     for s in range(f.source.N + 1):
-        fs = f.level(s)
-        if mode == "full":
-            out.append(fs)
-        elif mode == "normalized":
-            if s == 0:
-                out.append(fs)
-                continue
-            proj_y, _ = ty.witnesses[s]
-            _, sects_x = tx.witnesses[s]
-            blocks = {
-                t: proj_y.block(t) @ fs.block(t) @ FpMatrix(f.p, sects_x[t])
-                for t in f.source.level(s).degrees()
-            }
-            out.append(ChainMap.build(tx.levels[s], ty.levels[s], blocks))
-        else:
-            (incl_x,) = tx.witnesses[s]
-            (incl_y,) = ty.witnesses[s]
-            out.append(factor_through_mono(incl_y, fs @ incl_x))
+        proj_y, _ = ty.witnesses[s]
+        _, sects_x = tx.witnesses[s]
+        blocks = {
+            t: proj_y.block(t) @ f.level(s).block(t) @ sects_x[t]
+            for t in f.source.level(s).degrees()
+        }
+        out.append(ChainMap.build(tx.levels[s], ty.levels[s], blocks))
     return out
 
 
@@ -228,7 +152,9 @@ def total_map(
         tx = total_complex(f.source, mode)
     if ty is None:
         ty = total_complex(f.target, mode)
-    per_level = level_maps(f, mode, tx, ty)
+    if tx.mode != mode:
+        raise ValidationFailure(f"total complex mode {tx.mode!r}, expected {mode!r}")
+    per_level = level_maps(f, tx, ty)
     blocks = {}
     for n in tx.obj.degrees():
         m = np.zeros((ty.obj.dim(n), tx.obj.dim(n)), dtype=np.int64)
@@ -250,10 +176,20 @@ class RealizationResult:
     exact: bool
     witness: int | None
 
+    @property
+    def flag(self) -> str:
+        return "exact" if self.exact else "truncation-limited"
 
-def realization_we(f: SimplicialMap) -> RealizationResult:
-    tx = total_complex(f.source, "normalized")
-    ty = total_complex(f.target, "normalized")
+
+def realization_we(
+    f: SimplicialMap, tx: TotalComplex | None = None, ty: TotalComplex | None = None
+) -> RealizationResult:
+    """Realization verdict on f.  Normalized totals passed in are used as
+    given, so a caller that already built them shares them."""
+    if tx is None:
+        tx = total_complex(f.source, "normalized")
+    if ty is None:
+        ty = total_complex(f.target, "normalized")
     wit = quasi_iso_witness(total_map(f, "normalized", tx, ty))
     top = f.source.N
     exact = top == 0 or (tx.levels[top].is_zero() and ty.levels[top].is_zero())

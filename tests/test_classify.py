@@ -27,6 +27,7 @@ from reedychain import dold_kan as dk
 from reedychain import realize as rz
 from reedychain import sobj as so
 from reedychain import ssets as ss
+from reedychain import totals as tt
 
 P = 7
 
@@ -190,3 +191,20 @@ def test_identity_classifies_as_everything():
     assert c.equifibered and c.realization_we
     assert c.reedy_trivial_cof and c.reedy_trivial_fib
     assert c.witnesses == {}
+
+
+def test_classify_builds_each_total_once(monkeypatch):
+    """One normalized total per end serves both the fibration and the
+    realization verdicts."""
+    calls = []
+    build = tt.total_complex
+
+    def counted(x, mode="normalized"):
+        calls.append(mode)
+        return build(x, mode)
+
+    monkeypatch.setattr(tt, "total_complex", counted)
+    f = so.tensor_sset_map(ch.sphere(P, 0), ss.horn_inclusion(2, 1, 0))
+    c = cl.classify(f)
+    assert calls == ["normalized", "normalized"]
+    assert c.reedy_cof and c.realization_we

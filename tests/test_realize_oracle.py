@@ -27,6 +27,7 @@ from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
 from reedychain.linalg import FpMatrix, block_diag
+from test_reedy_oracle import glue_out_of_sum
 
 P = 7
 SAMPLE_P = 101
@@ -68,7 +69,7 @@ def coend(y: so.SimplicialObject) -> Coend:
                 incs[n + 1] @ ch.tensor_maps(y.degen(n, i), ch.identity_map(cm.source))
                 - incs[n] @ ch.tensor_maps(ch.identity_map(y.level(n)), cm)
             )
-    _, rel = so._glue_out_of_sum(rels, amb, p)
+    _, rel = glue_out_of_sum(rels, amb, p)
     q, proj, sects = ch.cokernel_complex(rel)
     return Coend(q, proj, sects, tuple(projs), rel)
 

@@ -8,10 +8,16 @@ X_n +_{L_nX} L_nY, and the relative matching map into the pullback
 Y_n x_{M_nY} M_nX.  A map is a Reedy cofibration (fibration) when every
 relative latching (matching) map is injective (surjective); the witness is
 the first failing level and, within it, the lowest failing degree.
+
+The Moore complex is kept here too: N_nX is the intersection of the
+kernels of the faces d_0, ..., d_{n-1} and d' is (-1)^n d_n restricted to
+it.  Moore's criterion evaluated on it is the reference for the
+fibration witness, which the library reads off the normalized complex.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from reedychain import chain as ch
@@ -21,9 +27,10 @@ from reedychain import harness as hn
 from reedychain import sampling as sm
 from reedychain import sobj as so
 from reedychain import ssets as ss
+from reedychain import totals as tt
 from reedychain.config import Manifest
 from reedychain.errors import ResourceCapError
-from reedychain.linalg import block_diag, hstack
+from reedychain.linalg import FpMatrix, block_diag, eye, hstack, kernel_basis
 
 P = 7
 MAP_KINDS = tuple(k for k in sm.KINDS if k != "random_sobj")
@@ -31,6 +38,16 @@ MAP_KINDS = tuple(k for k in sm.KINDS if k != "random_sobj")
 
 # ---------------------------------------------------------------------------
 # reference path
+
+
+def glue_out_of_sum(maps: list[ch.ChainMap], target: ch.ChainComplex, p: int):
+    """Direct-sum the sources; the glued map restricts to each given map."""
+    if not maps:
+        d = ch.zero_complex(p)
+        return d, ch.zero_map(d, target)
+    d = ch.direct_sum([m.source for m in maps])
+    blocks = {t: hstack([m.block(t) for m in maps]) for t in d.degrees()}
+    return d, ch.ChainMap.build(d, target, blocks)
 
 
 @dataclass(frozen=True)
@@ -59,10 +76,10 @@ def colimit_latching(x: so.SimplicialObject, n: int) -> ColimitLatching:
         for i in range(j):
             b = tuple(v if v <= i else v - 1 for v in a)
             rels.append(incs[index[a]] @ x.degen(j - 1, i) - incs[index[b]])
-    _, rel_map = so._glue_out_of_sum(rels, amb, p)
+    _, rel_map = glue_out_of_sum(rels, amb, p)
     q, proj, sects = ch.cokernel_complex(rel_map)
     into_level = [so.structure_map(x, a, len(set(a)) - 1) for a in objects]
-    _, u = so._glue_out_of_sum(into_level, x.level(n), p)
+    _, u = glue_out_of_sum(into_level, x.level(n), p)
     # u kills the relations, so it descends along the quotient sections
     to_level = ch.ChainMap.build(q, x.level(n), {t: u.block(t) @ sects[t] for t in q.degrees()})
     return ColimitLatching(q, to_level, objects, proj, sects)
@@ -101,9 +118,77 @@ def reference_fib_witness(f: so.SimplicialMap):
     return None
 
 
+def moore_total(x: so.SimplicialObject) -> tt.TotalComplex:
+    """Total of the Moore complex; the witness of each level is its
+    inclusion into X_n."""
+    incls = [ch.identity_map(x.level(0))]
+    for n in range(1, x.N + 1):
+        _, faces = so._stack_into_sum([x.face(n, i) for i in range(n)], x.level(n), x.p)
+        incls.append(ch.kernel_complex(faces)[1])
+    dprimes = tuple(
+        so.factor_through_mono(incls[n - 1], x.face(n, n).scale((-1) ** (n % 2)) @ incls[n])
+        for n in range(1, x.N + 1)
+    )
+    levels = tuple(incl.source for incl in incls)
+    obj, layout = tt._assemble(levels, dprimes, x.p)
+    return tt.TotalComplex(obj, "moore", levels, dprimes, layout, tuple((i,) for i in incls))
+
+
+def moore_level_maps(f: so.SimplicialMap, tx: tt.TotalComplex, ty: tt.TotalComplex):
+    """N_nX -> N_nY, the restrictions of the f_n."""
+    return [
+        so.factor_through_mono(ty.witnesses[n][0], f.level(n) @ tx.witnesses[n][0])
+        for n in range(f.source.N + 1)
+    ]
+
+
+def moore_total_map(f: so.SimplicialMap, tx: tt.TotalComplex, ty: tt.TotalComplex) -> ch.ChainMap:
+    per_level = moore_level_maps(f, tx, ty)
+    blocks = {}
+    for n in tx.obj.degrees():
+        m = np.zeros((ty.obj.dim(n), tx.obj.dim(n)), dtype=np.int64)
+        tgt = {(s, t): (off, d) for s, t, d, off in ty.layout.get(n, ())}
+        for s, t, d, off in tx.layout.get(n, ()):
+            if (s, t) in tgt:
+                o, dd = tgt[(s, t)]
+                m[o : o + dd, off : off + d] = per_level[s].block(t).a
+        blocks[n] = FpMatrix(f.p, m)
+    return ch.ChainMap.build(tx.obj, ty.obj, blocks)
+
+
+def moore_fib_witness(f: so.SimplicialMap):
+    """First (n, t) where f fails to map the Moore cycles Z_nX onto Z_nY
+    or, for n >= 1, to be injective on Moore homology H_{n-1}."""
+    tx, ty = moore_total(f.source), moore_total(f.target)
+    fn = moore_level_maps(f, tx, ty)
+
+    def cycles(tot, n, t):
+        if n == 0:
+            return eye(f.p, tot.levels[0].dim(t))
+        return kernel_basis(tot.dprimes[n - 1].block(t))
+
+    for n in range(f.source.N + 1):
+        degs = set(ty.levels[n].degrees())
+        if n >= 1:
+            degs |= set(tx.levels[n - 1].degrees())
+        for t in sorted(degs):
+            if (fn[n].block(t) @ cycles(tx, n, t)).rank() != cycles(ty, n, t).cols:
+                return (n, t)
+            if n == 0:
+                continue
+            zx1 = cycles(tx, n - 1, t)
+            by = ty.dprimes[n - 1].block(t)
+            image = hstack([fn[n - 1].block(t) @ zx1, by]).rank() - by.rank()
+            if image != zx1.cols - tx.dprimes[n - 1].block(t).rank():
+                return (n, t)
+    return None
+
+
 def assert_witnesses_agree(f: so.SimplicialMap):
     assert cl.reedy_cof_witness(f) == reference_cof_witness(f)
-    assert cl.reedy_fib_witness(f) == reference_fib_witness(f)
+    fib = cl.reedy_fib_witness(f)
+    assert fib == moore_fib_witness(f)
+    assert fib == reference_fib_witness(f)
 
 
 def nonzero_dims(c: ch.ChainComplex) -> dict:
@@ -114,7 +199,7 @@ def nonzero_dims(c: ch.ChainComplex) -> dict:
 # witnesses
 
 
-@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("N", (1, 2, 3))
 @pytest.mark.parametrize("kind", MAP_KINDS)
 def test_witnesses_agree_on_samplers(kind, N):
     checked = 0
@@ -188,6 +273,23 @@ def test_latching_span_is_the_colimit():
             for t in x.level(n).degrees():
                 a, b = new.to_level.block(t), old.to_level.block(t)
                 assert hstack([a, b]).rank() == a.rank() == b.rank(), (n, t)
+
+
+def test_degeneracy_quotient_is_cokernel_of_glued_degeneracies():
+    """The per-degree quotient by the stacked degeneracy blocks is the
+    cokernel of the map glued out of the sum of the degeneracies, with the
+    same projection and sections; level 0 is the level itself."""
+    for x in latching_objects():
+        q0, proj0, sects0 = so.degeneracy_quotient(x, 0)
+        assert q0 == x.level(0) and proj0 == ch.identity_map(x.level(0))
+        assert all(sects0[t] == eye(P, x.level(0).dim(t)) for t in x.level(0).degrees())
+        for n in range(1, x.N + 1):
+            _, glued = glue_out_of_sum([x.degen(n - 1, i) for i in range(n)], x.level(n), P)
+            q, proj, sects = so.degeneracy_quotient(x, n)
+            wq, wproj, wsects = ch.cokernel_complex(glued)
+            assert (q, proj) == (wq, wproj), n
+            assert sects.keys() == wsects.keys()
+            assert all(sects[t] == wsects[t] for t in sects), n
 
 
 def test_latching_map_of_constant_map():

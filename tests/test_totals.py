@@ -3,8 +3,11 @@
 Hand-computed values: the full total of a constant object picks up a
 spurious top class at odd truncation that the degeneracy-normalized total
 removes; the normalized total of a simplex tensor recovers the tensor with
-the simplex chains.
+the simplex chains.  The Moore total from ``test_reedy_oracle`` is checked
+beside the library modes.
 """
+
+from functools import partial
 
 import pytest
 
@@ -13,7 +16,8 @@ from reedychain import sampling as sm
 from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
-from reedychain.errors import ResourceCapError
+from reedychain.errors import ResourceCapError, ValidationFailure
+from test_reedy_oracle import moore_total, moore_total_map
 
 P = 7
 
@@ -49,7 +53,7 @@ def test_moore_total_matches_normalized_dims():
     ]
     for x in cases:
         tn = tt.total_complex(x, mode="normalized")
-        tm = tt.total_complex(x, mode="moore")
+        tm = moore_total(x)
         assert tn.obj.dims == tm.obj.dims
         assert tn.obj.lo == tm.obj.lo
         assert ch.homology_dims(tn.obj) == ch.homology_dims(tm.obj)
@@ -66,27 +70,45 @@ def test_normalized_total_of_tensor_is_kunneth():
     assert ch.homology_dims(t.obj) == ch.homology_dims(ref)
 
 
+def totals_and_maps():
+    """(total, total map) for each library mode, then the Moore reference."""
+    out = [(partial(tt.total_complex, mode=m), partial(tt.total_map, mode=m)) for m in tt.MODES]
+    return out + [(moore_total, moore_total_map)]
+
+
 def test_total_validates():
     x = so.tensor_with_sset(ch.disk(P, 1), ss.delta(2, 1))
-    for mode in ("full", "normalized", "moore"):
-        t = tt.total_complex(x, mode=mode)
-        ch.validate_complex(t.obj)
+    for total, _ in totals_and_maps():
+        ch.validate_complex(total(x).obj)
 
 
 def test_total_map_identity_and_compose():
     k = ss.delta(2, 1)
     f = ch.sphere_disk_inclusion(P, 2)
     tf = so.tensor_chain_map(f, k)
-    for mode in ("full", "normalized", "moore"):
-        tx = tt.total_complex(tf.source, mode=mode)
-        ty = tt.total_complex(tf.target, mode=mode)
-        m = tt.total_map(tf, mode=mode, tx=tx, ty=ty)
+    for total, total_map in totals_and_maps():
+        tx = total(tf.source)
+        ty = total(tf.target)
+        m = total_map(tf, tx=tx, ty=ty)
         ch.validate_map(m)
-        ident = tt.total_map(so.identity_smap(tf.source), mode=mode, tx=tx, ty=tx)
+        ident = total_map(so.identity_smap(tf.source), tx=tx, ty=tx)
         assert ident == ch.identity_map(tx.obj)
         g = so.tensor_chain_map(ch.zero_map(f.target, f.target), k)
-        comp = tt.total_map(g @ tf, mode=mode, tx=tx, ty=ty)
-        assert comp == tt.total_map(g, mode=mode, tx=ty, ty=ty) @ m
+        comp = total_map(g @ tf, tx=tx, ty=ty)
+        assert comp == total_map(g, tx=ty, ty=ty) @ m
+
+
+def test_level_maps_refuse_mixed_modes():
+    f = so.identity_smap(so.tensor_with_sset(ch.disk(P, 1), ss.delta(2, 1)))
+    tx = tt.total_complex(f.source, mode="full")
+    ty = tt.total_complex(f.target, mode="normalized")
+    assert len(tt.level_maps(f, tx, tx)) == len(tt.level_maps(f, ty, ty)) == 3
+    with pytest.raises(ValidationFailure):
+        tt.level_maps(f, tx, ty)
+    with pytest.raises(ValidationFailure):
+        tt.total_map(f, "full", ty, ty)
+    with pytest.raises(ValidationFailure):
+        tt.total_complex(f.source, mode="moore")
 
 
 def test_realization_we_constant_maps():
