@@ -23,9 +23,7 @@ from .linalg import (
     eye,
     hstack,
     kernel_basis,
-    kron,
     quotient_by_columns,
-    rref,
     solve,
     vstack,
     zeros,

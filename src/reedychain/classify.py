@@ -3,9 +3,9 @@
 Every predicate reduces to exact rank computations: levelwise mapping
 cones for the weak equivalences, levelwise injectivity for the
 cofibrations, a closed form over the normalized levels for the fibrations,
-and corner maps for the equifibered condition.  Failing classifiers come
-with a witness locating the first level and degree where the defect
-appears.
+and the faces of the fiber for the equifibered condition.  Failing
+classifiers come with a witness locating the first level and degree where
+the defect appears.
 
 Over a field every simplicial object splits (Dold-Kan): the latching map
 is the inclusion of the degeneracy span D_nX, so f is a Reedy cofibration
@@ -27,6 +27,15 @@ and matching maps.  The Moore complex is naturally isomorphic to the
 normalized complex X_n/D_nX degree by degree (Dold-Kan), so Z_n and H_{n-1}
 are read off the normalized total that the realization verdict also uses:
 ``classify`` builds each end's total once and hands it to both.
+
+A Reedy fibration is equifibered when each face square
+X_{m+1} -> X_m x_{Y_m} Y_{m+1} is homotopy cartesian.  Every f_m of a
+Reedy fibration is onto, so the square maps the extension
+F_{m+1} -> X_{m+1} -> Y_{m+1} onto F_m -> X_m x_{Y_m} Y_{m+1} -> Y_{m+1}
+with the identity on Y_{m+1}, and its cone has the homology of the cone of
+d_i on the fiber F = ker f.  Equifibered therefore means a Reedy fibration
+whose fiber is homotopically constant (chain complexes over a field are
+stable; Hovey, Model Categories, ch. 7).
 """
 
 from dataclasses import dataclass
@@ -44,7 +53,7 @@ from .chain import (
     pullback_mediator,
     quasi_iso_witness,
 )
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ValidationFailure
 from .linalg import eye, hstack, kernel_basis
 from .sobj import SimplicialMap, SimplicialObject
 
@@ -134,16 +143,18 @@ def reedy_fib_witness(
 def face_square_witness(f: SimplicialMap):
     """First (m, i, degree) where the comparison of X_{m+1} with the
     pullback X_m x_{Y_m} Y_{m+1} over the i-th face is not a
-    quasi-isomorphism."""
-    x, y = f.source, f.target
-    for m in range(x.N):
-        for i in range(m + 2):
-            span = pullback(f.level(m), y.face(m + 1, i))
-            corner = pullback_mediator(span, x.face(m + 1, i), f.level(m + 1))
-            t = quasi_iso_witness(corner)
-            if t is not None:
-                return (m, i, t)
-    return None
+    quasi-isomorphism: the face d_i of the fiber at level m + 1, which has
+    the same cone homology.  Refuses an f that is not onto at some level,
+    where the fiber does not see the square."""
+    fib = so.fiber(f)
+    for n in range(f.source.N + 1):
+        for t in f.target.level(n).degrees():
+            if fib.level(n).dim(t) != f.source.level(n).dim(t) - f.target.level(n).dim(t):
+                raise ValidationFailure(
+                    f"face squares need f onto at every level; f_{n} is not onto in degree {t}"
+                )
+    w = homotopically_constant_witness(fib)
+    return None if w is None else (w[0] - 1, w[1], w[2])
 
 
 def homotopically_constant_witness(x: SimplicialObject):
@@ -218,7 +229,7 @@ def classify(f: SimplicialMap, check_invariant: bool = True) -> Classification:
     tx = tt.total_complex(f.source, "normalized")
     ty = tt.total_complex(f.target, "normalized")
     fw = reedy_fib_witness(f, tx, ty)
-    sq = face_square_witness(f)
+    sq = face_square_witness(f) if fw is None else None
     rr = tt.realization_we(f, tx, ty)
     if lw is not None:
         wits["level_we"] = lw

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ssets as ss
 from .chain import ChainComplex, ChainMap, direct_sum_with_maps
 from .errors import FieldMismatchError, ValidationFailure
 from .linalg import FpMatrix
-from .realize import coface_tuple, codegen_tuple
 from .sobj import SimplicialObject, _epi_mono_factor, _epis
 
 
@@ -72,9 +72,10 @@ def dold_kan(parts, deltas) -> DoldKan:
             return deltas[pp - 1].scale((-1) ** (pp % 2))
         return None
 
-    def operator(n_src: int, n_tgt: int, alpha: tuple[int, ...]) -> ChainMap:
+    def operator(n_src: int, n_tgt: int, i: int) -> ChainMap:
+        alpha = ss.operator_tuple(n_src, n_tgt, i)
         src_epis, tgt_epis = epis[n_src], epis[n_tgt]
-        tgt_index = {e: i for i, e in enumerate(tgt_epis)}
+        tgt_index = {e: j for j, e in enumerate(tgt_epis)}
         src_lvl, tgt_lvl = levels[n_src], levels[n_tgt]
         blocks = {}
         placed = []
@@ -100,15 +101,7 @@ def dold_kan(parts, deltas) -> DoldKan:
             blocks[t] = FpMatrix(p_mod, mat)
         return ChainMap.build(src_lvl, tgt_lvl, blocks)
 
-    faces = tuple(
-        tuple(operator(n, n - 1, coface_tuple(n, i)) for i in range(n + 1))
-        for n in range(1, N + 1)
-    )
-    degens = tuple(
-        tuple(operator(n, n + 1, codegen_tuple(n, i)) for i in range(n + 1))
-        for n in range(N)
-    )
-    obj = SimplicialObject(N, levels, faces, degens)
+    obj = SimplicialObject(N, levels, *ss.operator_tables(N, operator))
     tops = tuple(
         sums[n][1][epis[n].index(tuple(range(n + 1)))] for n in range(N + 1)
     )

@@ -17,7 +17,6 @@ from . import sobj as so
 from . import ssets as ss
 from . import totals as tt
 from .errors import ValidationFailure
-from .realize import coface_tuple
 
 CHECKS = ("sm7", "realization-axiom", "lem-match", "prop-proof", "prop-i-cof")
 
@@ -41,7 +40,7 @@ def injective_pool(N: int):
         for k in range(n + 1):
             pool.append((f"horn:{n}:{k}", ss.horn_inclusion(N, n, k)))
         for j in range(n + 1):
-            pool.append((f"coface:{n}:{j}", ss.delta_map(N, coface_tuple(n, j), n)))
+            pool.append((f"coface:{n}:{j}", ss.delta_map(N, ss.operator_tuple(n, n - 1, j), n)))
     return pool
 
 

@@ -22,7 +22,6 @@ from . import ssets as ss
 from .chain import ChainMap, disk_from_zero, sphere_disk_inclusion
 from .errors import InternalInvariantError, ValidationFailure
 from .linalg import check_system_cap, hstack, vstack, zeros
-from .realize import coface_tuple
 from .sobj import SimplicialMap
 from .system import BlockSystem
 
@@ -210,7 +209,7 @@ def _members(
         else:
             for n in range(max(1, nlo), nhi + 1):
                 for j in range(n + 1):
-                    i = ss.delta_map(N, coface_tuple(n, j), n)
+                    i = ss.delta_map(N, ss.operator_tuple(n, n - 1, j), n)
                     out.append((f"{family}[m={m},n={n},face={j}]", m, f"coface:{n}:{j}", i))
     return out
 

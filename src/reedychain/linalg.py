@@ -159,11 +159,6 @@ def block_diag(p: int, ms: list[FpMatrix]) -> FpMatrix:
     return FpMatrix(p, out)
 
 
-def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    a._check_p(b)
-    return FpMatrix(a.p, np.kron(a.a, b.a) % a.p)
-
-
 def check_system_cap(rows: int, cols: int, cap: int | None):
     """Guard assembled scratch systems by cap**2 total entries."""
     if cap is not None and rows * cols > cap * cap:

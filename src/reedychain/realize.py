@@ -29,14 +29,6 @@ def simplex_chains_map(p: int, N: int, alpha: tuple[int, ...], n: int) -> ChainM
     return ss.normalized_chains_map(ss.delta_map(N, alpha, n), p)
 
 
-def coface_tuple(n: int, i: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n + 1) if v != i)
-
-
-def codegen_tuple(n: int, i: int) -> tuple[int, ...]:
-    return tuple(v if v <= i else v - 1 for v in range(n + 2))
-
-
 def realize(y: SimplicialObject) -> TotalComplex:
     """The realization of y: its normalized total complex, read from ``.obj``."""
     return total_complex(y, "normalized")
@@ -51,25 +43,12 @@ def sing(a: ChainComplex, N: int) -> SimplicialObject:
     is built once and shared by the operators into and out of it."""
     p = a.p
     levels = tuple(hom_complex(simplex_chains(p, N, n), a) for n in range(N + 1))
-    faces = []
-    for n in range(1, N + 1):
-        row = []
-        for i in range(n + 1):
-            cm = simplex_chains_map(p, N, coface_tuple(n, i), n)
-            row.append(
-                hom_precompose(simplex_chains(p, N, n), a, cm, levels[n], levels[n - 1])
-            )
-        faces.append(tuple(row))
-    degens = []
-    for n in range(N):
-        row = []
-        for i in range(n + 1):
-            cm = simplex_chains_map(p, N, codegen_tuple(n, i), n)
-            row.append(
-                hom_precompose(simplex_chains(p, N, n), a, cm, levels[n], levels[n + 1])
-            )
-        degens.append(tuple(row))
-    return SimplicialObject(N, levels, tuple(faces), tuple(degens))
+
+    def op(n: int, m: int, i: int) -> ChainMap:
+        cm = simplex_chains_map(p, N, ss.operator_tuple(n, m, i), n)
+        return hom_precompose(simplex_chains(p, N, n), a, cm, levels[n], levels[m])
+
+    return SimplicialObject(N, levels, *ss.operator_tables(N, op))
 
 
 def sing_map(g: ChainMap, N: int) -> SimplicialMap:

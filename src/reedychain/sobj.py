@@ -67,6 +67,10 @@ class SimplicialObject:
     def degen(self, n: int, i: int) -> ChainMap:
         return self.degens[n][i]
 
+    def operator(self, n: int, m: int, i: int) -> ChainMap:
+        """The operator from level n to level m: d_i or s_i."""
+        return self.faces[n - 1][i] if m < n else self.degens[n][i]
+
     def __eq__(self, other):
         if not isinstance(other, SimplicialObject):
             return NotImplemented
@@ -84,9 +88,9 @@ class SimplicialObject:
 def constant(N: int, a: ChainComplex) -> SimplicialObject:
     """Every level is ``a`` and every operator the identity."""
     ident = identity_map(a)
-    faces = tuple(tuple(ident for _ in range(n + 1)) for n in range(1, N + 1))
-    degens = tuple(tuple(ident for _ in range(n + 1)) for n in range(N))
-    return SimplicialObject(N, tuple(a for _ in range(N + 1)), faces, degens)
+    return SimplicialObject(
+        N, tuple(a for _ in range(N + 1)), *ss.operator_tables(N, lambda n, m, i: ident)
+    )
 
 
 def ev0(x: SimplicialObject) -> ChainComplex:
@@ -200,14 +204,9 @@ def validate_smap(f: SimplicialMap):
         if m.source != f.source.level(n) or m.target != f.target.level(n):
             raise ValidationFailure(f"level {n} map endpoints wrong")
         validate_map(m)
-    for n in range(1, f.source.N + 1):
-        for i in range(n + 1):
-            if f.target.face(n, i) @ f.level(n) != f.level(n - 1) @ f.source.face(n, i):
-                raise ValidationFailure(f"map breaks d_{i} at level {n}")
-    for n in range(f.source.N):
-        for i in range(n + 1):
-            if f.target.degen(n, i) @ f.level(n) != f.level(n + 1) @ f.source.degen(n, i):
-                raise ValidationFailure(f"map breaks s_{i} at level {n}")
+    for n, m, i in ss.operator_indices(f.source.N):
+        if f.target.operator(n, m, i) @ f.level(n) != f.level(m) @ f.source.operator(n, m, i):
+            raise ValidationFailure(f"map breaks {ss.operator_name(n, m, i)} at level {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +242,15 @@ def tensor_sobj_with_sset(x: SimplicialObject, k: ss.SSet) -> SimplicialObject:
         raise ValidationFailure("tensor truncations differ")
     levels = tuple(_copies_complex(x.level(n), k.card(n)) for n in range(k.N + 1))
 
-    def op_map(src: int, tgt: int, inner: ChainMap, table) -> ChainMap:
+    def op(n: int, m: int, i: int) -> ChainMap:
+        inner, table = x.operator(n, m, i), k.operator(n, m, i)
         blocks = {
-            t: _route(x.p, table, k.card(tgt), inner.block(t))
+            t: _route(x.p, table, k.card(m), inner.block(t))
             for t in inner.source.degrees()
         }
-        return ChainMap.build(levels[src], levels[tgt], blocks)
+        return ChainMap.build(levels[n], levels[m], blocks)
 
-    faces = tuple(
-        tuple(op_map(n, n - 1, x.face(n, i), k.faces[n - 1][i]) for i in range(n + 1))
-        for n in range(1, k.N + 1)
-    )
-    degens = tuple(
-        tuple(op_map(n, n + 1, x.degen(n, i), k.degens[n][i]) for i in range(n + 1))
-        for n in range(k.N)
-    )
-    return SimplicialObject(k.N, levels, faces, degens)
+    return SimplicialObject(k.N, levels, *ss.operator_tables(k.N, op))
 
 
 def tensor_smap_with_sset(f: SimplicialMap, k: ss.SSet) -> SimplicialMap:
@@ -619,7 +611,7 @@ def boundary_cotensor_from_matching(
 
 
 # ---------------------------------------------------------------------------
-# levelwise pushouts, pullbacks, sums
+# levelwise pushouts, pullbacks, kernels, sums
 
 
 @dataclass(frozen=True)
@@ -640,32 +632,13 @@ def pushout_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
     N = f.source.N
     res = [pushout(f.level(n), g.level(n)) for n in range(N + 1)]
     xb, yc = f.target, g.target
-    faces, degens = [], []
-    for n in range(1, N + 1):
-        row = []
-        for i in range(n + 1):
-            row.append(
-                pushout_mediator(
-                    res[n],
-                    res[n - 1].left @ xb.face(n, i),
-                    res[n - 1].right @ yc.face(n, i),
-                )
-            )
-        faces.append(tuple(row))
-    for n in range(N):
-        row = []
-        for i in range(n + 1):
-            row.append(
-                pushout_mediator(
-                    res[n],
-                    res[n + 1].left @ xb.degen(n, i),
-                    res[n + 1].right @ yc.degen(n, i),
-                )
-            )
-        degens.append(tuple(row))
-    obj = SimplicialObject(
-        N, tuple(r.obj for r in res), tuple(faces), tuple(degens)
-    )
+
+    def op(n: int, m: int, i: int) -> ChainMap:
+        return pushout_mediator(
+            res[n], res[m].left @ xb.operator(n, m, i), res[m].right @ yc.operator(n, m, i)
+        )
+
+    obj = SimplicialObject(N, tuple(r.obj for r in res), *ss.operator_tables(N, op))
     left = SimplicialMap(xb, obj, tuple(r.left for r in res))
     right = SimplicialMap(yc, obj, tuple(r.right for r in res))
     return SobjSpan(obj, left, right, tuple(res))
@@ -689,33 +662,27 @@ def pullback_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
     N = f.source.N
     res = [pullback(f.level(n), g.level(n)) for n in range(N + 1)]
     xb, yc = f.source, g.source
-    faces, degens = [], []
-    for n in range(1, N + 1):
-        row = []
-        for i in range(n + 1):
-            row.append(
-                pullback_mediator(
-                    res[n - 1],
-                    xb.face(n, i) @ res[n].left,
-                    yc.face(n, i) @ res[n].right,
-                )
-            )
-        faces.append(tuple(row))
-    for n in range(N):
-        row = []
-        for i in range(n + 1):
-            row.append(
-                pullback_mediator(
-                    res[n + 1],
-                    xb.degen(n, i) @ res[n].left,
-                    yc.degen(n, i) @ res[n].right,
-                )
-            )
-        degens.append(tuple(row))
-    obj = SimplicialObject(N, tuple(r.obj for r in res), tuple(faces), tuple(degens))
+
+    def op(n: int, m: int, i: int) -> ChainMap:
+        return pullback_mediator(
+            res[m], xb.operator(n, m, i) @ res[n].left, yc.operator(n, m, i) @ res[n].right
+        )
+
+    obj = SimplicialObject(N, tuple(r.obj for r in res), *ss.operator_tables(N, op))
     left = SimplicialMap(obj, xb, tuple(r.left for r in res))
     right = SimplicialMap(obj, yc, tuple(r.right for r in res))
     return SobjSpan(obj, left, right, tuple(res))
+
+
+def fiber(f: SimplicialMap) -> SimplicialObject:
+    """The levelwise kernel F_n = ker f_n, with the operators of the source
+    restricted to it."""
+    kers = [kernel_complex(f.level(n)) for n in range(f.source.N + 1)]
+
+    def op(n: int, m: int, i: int) -> ChainMap:
+        return factor_through_mono(kers[m][1], f.source.operator(n, m, i) @ kers[n][1])
+
+    return SimplicialObject(f.source.N, tuple(k for k, _ in kers), *ss.operator_tables(f.source.N, op))
 
 
 def direct_sum_sobj(parts: list[SimplicialObject]):
@@ -725,21 +692,12 @@ def direct_sum_sobj(parts: list[SimplicialObject]):
     per_level = [direct_sum_with_maps([q.level(n) for q in parts]) for n in range(N + 1)]
     levels = tuple(pl[0] for pl in per_level)
 
-    def op(n_src, n_tgt, mats):
-        blocks = {}
-        for t in levels[n_src].degrees():
-            blocks[t] = block_diag(p, [m.block(t) for m in mats])
-        return ChainMap.build(levels[n_src], levels[n_tgt], blocks)
+    def op(n: int, m: int, i: int) -> ChainMap:
+        ops = [q.operator(n, m, i) for q in parts]
+        blocks = {t: block_diag(p, [o.block(t) for o in ops]) for t in levels[n].degrees()}
+        return ChainMap.build(levels[n], levels[m], blocks)
 
-    faces = tuple(
-        tuple(op(n, n - 1, [q.face(n, i) for q in parts]) for i in range(n + 1))
-        for n in range(1, N + 1)
-    )
-    degens = tuple(
-        tuple(op(n, n + 1, [q.degen(n, i) for q in parts]) for i in range(n + 1))
-        for n in range(N)
-    )
-    total = SimplicialObject(N, levels, faces, degens)
+    total = SimplicialObject(N, levels, *ss.operator_tables(N, op))
     incs, projs = [], []
     for idx, part in enumerate(parts):
         incs.append(
@@ -761,9 +719,8 @@ def add_smaps(sys: BlockSystem, key: tuple, x: SimplicialObject, y: SimplicialOb
     f s_i = s_i f."""
     for n in range(x.N + 1):
         add_chain_maps(sys, key + (n,), x.level(n), y.level(n))
-    ops = [(n, n - 1, y.face(n, i), x.face(n, i)) for n in range(1, x.N + 1) for i in range(n + 1)]
-    ops += [(n, n + 1, y.degen(n, i), x.degen(n, i)) for n in range(x.N) for i in range(n + 1)]
-    for n, m, oy, ox in ops:
+    for n, m, i in ss.operator_indices(x.N):
+        oy, ox = y.operator(n, m, i), x.operator(n, m, i)
         for t in x.level(n).degrees():
             sys.add_equation(
                 (y.level(m).dim(t), x.level(n).dim(t)),

@@ -68,6 +68,33 @@ def factor_monotone(alpha: tuple[int, ...], n: int):
     return ops + list(reversed(s_ops))
 
 
+def operator_indices(N: int) -> list[tuple[int, int, int]]:
+    """(n, m, i) of every operator of an N-truncated object, faces first:
+    d_i from level n to m = n - 1, then s_i from level n to m = n + 1."""
+    faces = [(n, n - 1, i) for n in range(1, N + 1) for i in range(n + 1)]
+    return faces + [(n, n + 1, i) for n in range(N) for i in range(n + 1)]
+
+
+def operator_tables(N: int, op):
+    """(faces, degens) with faces[n-1][i] = op(n, n - 1, i) and
+    degens[n][i] = op(n, n + 1, i), built in operator_indices order."""
+    faces = tuple(tuple(op(n, n - 1, i) for i in range(n + 1)) for n in range(1, N + 1))
+    degens = tuple(tuple(op(n, n + 1, i) for i in range(n + 1)) for n in range(N))
+    return faces, degens
+
+
+def operator_name(n: int, m: int, i: int) -> str:
+    return f"d_{i}" if m < n else f"s_{i}"
+
+
+def operator_tuple(n: int, m: int, i: int) -> tuple[int, ...]:
+    """The monotone map [m] -> [n] of the operator from level n to level m:
+    the coface missing i, or the codegeneracy hitting i twice."""
+    if m < n:
+        return tuple(v for v in range(n + 1) if v != i)
+    return tuple(v if v <= i else v - 1 for v in range(n + 2))
+
+
 @dataclass(frozen=True, eq=False)
 class SSet:
     """Levels 0..N; faces[m-1][i] and degens[m][i] are index tuples."""
@@ -84,40 +111,26 @@ class SSet:
             object.__setattr__(self, "indexes", idx)
 
     @classmethod
-    def build(cls, N, levels, face_fn, degen_fn) -> "SSet":
-        """Tables from label-level operator functions; results must be labels
-        present at the right level."""
+    def build(cls, N, levels, op_fn) -> "SSet":
+        """Tables from a label-level operator function: op_fn(n, m, i, lab)
+        is the image of lab under the operator from level n to level m, and
+        must be a label present at level m."""
         levels = tuple(tuple(lvl) for lvl in levels)
         index = [{lab: i for i, lab in enumerate(lvl)} for lvl in levels]
-        faces = []
-        for m in range(1, N + 1):
-            per_i = []
-            for i in range(m + 1):
-                row = []
-                for lab in levels[m]:
-                    out = face_fn(m, i, lab)
-                    if out not in index[m - 1]:
-                        raise ValidationFailure(
-                            f"face d_{i} leaves the simplex set at level {m}"
-                        )
-                    row.append(index[m - 1][out])
-                per_i.append(tuple(row))
-            faces.append(tuple(per_i))
-        degens = []
-        for m in range(N):
-            per_i = []
-            for i in range(m + 1):
-                row = []
-                for lab in levels[m]:
-                    out = degen_fn(m, i, lab)
-                    if out not in index[m + 1]:
-                        raise ValidationFailure(
-                            f"degeneracy s_{i} leaves the simplex set at level {m}"
-                        )
-                    row.append(index[m + 1][out])
-                per_i.append(tuple(row))
-            degens.append(tuple(per_i))
-        return cls(N, levels, tuple(faces), tuple(degens))
+
+        def table(n, m, i):
+            row = []
+            for lab in levels[n]:
+                out = op_fn(n, m, i, lab)
+                if out not in index[m]:
+                    kind = "face" if m < n else "degeneracy"
+                    raise ValidationFailure(
+                        f"{kind} {operator_name(n, m, i)} leaves the simplex set at level {n}"
+                    )
+                row.append(index[m][out])
+            return tuple(row)
+
+        return cls(N, levels, *operator_tables(N, table))
 
     def card(self, m: int) -> int:
         return len(self.levels[m])
@@ -133,6 +146,10 @@ class SSet:
 
     def degen(self, m: int, i: int, idx: int) -> int:
         return self.degens[m][i][idx]
+
+    def operator(self, n: int, m: int, i: int) -> tuple[int, ...]:
+        """Index table of the operator from level n to level m."""
+        return self.faces[n - 1][i] if m < n else self.degens[n][i]
 
     def __eq__(self, other):
         if not isinstance(other, SSet):
@@ -258,20 +275,11 @@ def validate_sset_map(f: SSetMap):
             raise ValidationFailure(f"level {m} map has wrong length")
         if any(not (0 <= v < f.target.card(m)) for v in f.levels[m]):
             raise ValidationFailure(f"level {m} map out of range")
-    for m in range(1, f.source.N + 1):
-        for i in range(m + 1):
-            for idx in range(f.source.card(m)):
-                if f.target.face(m, i, f.apply(m, idx)) != f.apply(
-                    m - 1, f.source.face(m, i, idx)
-                ):
-                    raise ValidationFailure(f"map breaks d_{i} at level {m}")
-    for m in range(f.source.N):
-        for i in range(m + 1):
-            for idx in range(f.source.card(m)):
-                if f.target.degen(m, i, f.apply(m, idx)) != f.apply(
-                    m + 1, f.source.degen(m, i, idx)
-                ):
-                    raise ValidationFailure(f"map breaks s_{i} at level {m}")
+    for n, m, i in operator_indices(f.source.N):
+        ot, os_ = f.target.operator(n, m, i), f.source.operator(n, m, i)
+        for idx in range(f.source.card(n)):
+            if ot[f.apply(n, idx)] != f.apply(m, os_[idx]):
+                raise ValidationFailure(f"map breaks {operator_name(n, m, i)} at level {n}")
 
 
 def sset_map_from_labels(source: SSet, target: SSet, fn, weq=None) -> SSetMap:
@@ -289,12 +297,9 @@ def sset_map_from_labels(source: SSet, target: SSet, fn, weq=None) -> SSetMap:
 # families
 
 
-def _tuple_face(m, i, lab):
-    return lab[:i] + lab[i + 1 :]
-
-
-def _tuple_degen(m, i, lab):
-    return lab[: i + 1] + lab[i:]
+def _tuple_op(n, m, i, lab):
+    """d_i drops entry i of a tuple label, s_i repeats it."""
+    return lab[:i] + lab[i + 1 :] if m < n else lab[: i + 1] + lab[i:]
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +307,7 @@ def delta(N: int, n: int) -> SSet:
     """The standard n-simplex truncated at level N; labels are monotone
     tuples [m] -> [n]."""
     levels = [monotone_maps(m, n) for m in range(N + 1)]
-    return SSet.build(N, levels, _tuple_face, _tuple_degen)
+    return SSet.build(N, levels, _tuple_op)
 
 
 def sub_sset_inclusion(amb: SSet, keep) -> SSetMap:
@@ -312,19 +317,14 @@ def sub_sset_inclusion(amb: SSet, keep) -> SSetMap:
         tuple(lab for lab in amb.levels[m] if keep(m, lab)) for m in range(amb.N + 1)
     ]
 
-    def face_fn(m, i, lab):
-        out = amb.label(m - 1, amb.face(m, i, amb.index_of(m, lab)))
-        if not keep(m - 1, out):
-            raise ValidationFailure("selection not closed under faces")
+    def op_fn(n, m, i, lab):
+        out = amb.label(m, amb.operator(n, m, i)[amb.index_of(n, lab)])
+        if not keep(m, out):
+            kind = "faces" if m < n else "degeneracies"
+            raise ValidationFailure(f"selection not closed under {kind}")
         return out
 
-    def degen_fn(m, i, lab):
-        out = amb.label(m + 1, amb.degen(m, i, amb.index_of(m, lab)))
-        if not keep(m + 1, out):
-            raise ValidationFailure("selection not closed under degeneracies")
-        return out
-
-    sub = SSet.build(amb.N, levels, face_fn, degen_fn)
+    sub = SSet.build(amb.N, levels, op_fn)
     return sset_map_from_labels(sub, amb, lambda m, lab: lab)
 
 
@@ -364,37 +364,13 @@ def product(x: SSet, y: SSet) -> SSet:
     """Levelwise product; label (a, b), index row-major in the factors."""
     if x.N != y.N:
         raise ValidationFailure("product of different truncations")
-    N = x.N
-    levels = []
-    for m in range(N + 1):
-        levels.append(tuple((a, b) for a in x.levels[m] for b in y.levels[m]))
-    faces = []
-    for m in range(1, N + 1):
-        cy, cy1 = y.card(m), y.card(m - 1)
-        per_i = []
-        for i in range(m + 1):
-            fx, fy = x.faces[m - 1][i], y.faces[m - 1][i]
-            row = tuple(
-                fx[ix] * cy1 + fy[iy]
-                for ix in range(x.card(m))
-                for iy in range(cy)
-            )
-            per_i.append(row)
-        faces.append(tuple(per_i))
-    degens = []
-    for m in range(N):
-        cy, cy1 = y.card(m), y.card(m + 1)
-        per_i = []
-        for i in range(m + 1):
-            sx, sy = x.degens[m][i], y.degens[m][i]
-            row = tuple(
-                sx[ix] * cy1 + sy[iy]
-                for ix in range(x.card(m))
-                for iy in range(cy)
-            )
-            per_i.append(row)
-        degens.append(tuple(per_i))
-    return SSet(N, tuple(levels), tuple(faces), tuple(degens))
+    levels = tuple(tuple((a, b) for a in x.levels[m] for b in y.levels[m]) for m in range(x.N + 1))
+
+    def op(n, m, i):
+        ox, oy, cy = x.operator(n, m, i), y.operator(n, m, i), y.card(m)
+        return tuple(ox[ix] * cy + oy[iy] for ix in range(x.card(n)) for iy in range(y.card(n)))
+
+    return SSet(x.N, levels, *operator_tables(x.N, op))
 
 
 def product_map(f: SSetMap, g: SSetMap) -> SSetMap:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceCapError
 from .linalg import FpMatrix, check_system_cap, kernel_basis, solve
 
 
@@ -37,9 +36,6 @@ class BlockSystem:
         self._unknowns[key] = (rows, cols, self._ncols)
         self._order.append(key)
         self._ncols += rows * cols
-
-    def has_unknown(self, key) -> bool:
-        return key in self._unknowns
 
     def unknown_shape(self, key) -> tuple[int, int]:
         r, c, _ = self._unknowns[key]

@@ -208,3 +208,29 @@ def test_classify_builds_each_total_once(monkeypatch):
     c = cl.classify(f)
     assert calls == ["normalized", "normalized"]
     assert c.reedy_cof and c.realization_we
+
+
+def test_classify_decides_face_squares_only_for_fibrations(monkeypatch):
+    """The equifibered verdict is read only where it is reported: a map that
+    is not a Reedy fibration gets no face-square check, and a fibration gets
+    one, from its fiber, with no pullback built."""
+    calls = {"squares": 0, "pullbacks": 0}
+    squares, pullback = cl.face_square_witness, ch.pullback
+
+    def counted_squares(f):
+        calls["squares"] += 1
+        return squares(f)
+
+    def counted_pullback(f, g):
+        calls["pullbacks"] += 1
+        return pullback(f, g)
+
+    monkeypatch.setattr(cl, "face_square_witness", counted_squares)
+    monkeypatch.setattr(ch, "pullback", counted_pullback)
+    monkeypatch.setattr(cl, "pullback", counted_pullback)
+    c = cl.classify(so.constant_map(2, ch.sphere_disk_inclusion(P, 1)))
+    assert c.witnesses["reedy_fib"] == (0, 1) and c.witnesses["equifibered"] == (0, 1)
+    assert calls["squares"] == 0
+    c = cl.classify(rz.sing_map(proj_with_fiber(sph(1), sph(0)), 2))
+    assert c.reedy_fib and c.equifibered
+    assert calls == {"squares": 1, "pullbacks": 0}

@@ -53,6 +53,19 @@ def test_sm7_trivial_cofibration_hits_part_two():
     assert rep["parts"]["weq"] is None
 
 
+def test_sm7_part_two_reads_the_level_verdict_of_f():
+    """Boxing with the identity of Delta^0 gives an isomorphism, a level
+    equivalence, but f = S^1 -> D^2 is not one: part 2 does not apply."""
+    f = so.constant_map(N, ch.sphere_disk_inclusion(101, 1))
+    i = ss.delta_map(N, (0,), 0)
+    assert cl.level_we_witness(f) is not None
+    assert cl.level_we_witness(cl.pushout_product(f, i)) is None
+    for structure in ("reedy", "realization"):
+        rep = hn.check_sm7(f, i, structure)
+        assert rep["parts"]["trivial"] is None, structure
+        assert rep["violations"] == []
+
+
 def test_sm7_preconditions():
     g = ch.ChainMap.build(
         ch.direct_sum([ch.sphere(P, 0), ch.sphere(P, 0)]),
@@ -174,6 +187,26 @@ def test_prop_proof_suite_ok():
     rep = hn.check_prop_proof(P, N, samples=4, seed=0)
     assert rep["status"] == "ok"
     assert rep["violations"] == []
+
+
+def test_prop_proof_trivial_clause_needs_a_fibration(monkeypatch):
+    """Level equivalences that are not Reedy fibrations fall outside the
+    trivial-fibration clause, even where their corner is not onto."""
+    drawn = []
+
+    def trivial_cofibration(p, n, rng, cap=None):
+        f = sm.random_trivial_cofibration(p, n, rng, cap)
+        drawn.append(f)
+        return f
+
+    monkeypatch.setattr(sm, "sample_reedy_fibration", trivial_cofibration)
+    monkeypatch.setattr(sm, "sample_trivial_fibration", trivial_cofibration)
+    rep = hn.check_prop_proof(P, N, samples=4, seed=0)
+    assert all(cl.level_we_witness(f) is None for f in drawn)
+    assert all(cl.reedy_fib_witness(f) is not None for f in drawn)
+    clauses = [v["clause"] for v in rep["violations"]]
+    assert "epi" in clauses
+    assert "trivial" not in clauses
 
 
 def test_prop_i_cof_suite_ok_and_corruptible():

@@ -55,20 +55,12 @@ def coend(y: so.SimplicialObject) -> Coend:
     )
     amb, incs, projs = ch.direct_sum_with_maps(list(summands))
     rels = []
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            cm = rz.simplex_chains_map(p, N, rz.coface_tuple(n, i), n)
-            rels.append(
-                incs[n - 1] @ ch.tensor_maps(y.face(n, i), ch.identity_map(cm.source))
-                - incs[n] @ ch.tensor_maps(ch.identity_map(y.level(n)), cm)
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            cm = rz.simplex_chains_map(p, N, rz.codegen_tuple(n, i), n)
-            rels.append(
-                incs[n + 1] @ ch.tensor_maps(y.degen(n, i), ch.identity_map(cm.source))
-                - incs[n] @ ch.tensor_maps(ch.identity_map(y.level(n)), cm)
-            )
+    for n, m, i in ss.operator_indices(N):
+        cm = rz.simplex_chains_map(p, N, ss.operator_tuple(n, m, i), n)
+        rels.append(
+            incs[m] @ ch.tensor_maps(y.operator(n, m, i), ch.identity_map(cm.source))
+            - incs[n] @ ch.tensor_maps(ch.identity_map(y.level(n)), cm)
+        )
     _, rel = glue_out_of_sum(rels, amb, p)
     q, proj, sects = ch.cokernel_complex(rel)
     return Coend(q, proj, sects, tuple(projs), rel)

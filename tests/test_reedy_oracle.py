@@ -13,7 +13,14 @@ The Moore complex is kept here too: N_nX is the intersection of the
 kernels of the faces d_0, ..., d_{n-1} and d' is (-1)^n d_n restricted to
 it.  Moore's criterion evaluated on it is the reference for the
 fibration witness, which the library reads off the normalized complex.
+
+The face squares are kept here as well: for each face d_i at level m + 1,
+the comparison of X_{m+1} with the pullback X_m x_{Y_m} Y_{m+1}.  A Reedy
+fibration is equifibered when every comparison is a quasi-isomorphism; the
+library reads the same witness off the faces of the fiber ker f.
 """
+
+from functools import lru_cache
 
 from dataclasses import dataclass
 
@@ -29,7 +36,7 @@ from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
 from reedychain.config import Manifest
-from reedychain.errors import ResourceCapError
+from reedychain.errors import ResourceCapError, ValidationFailure
 from reedychain.linalg import FpMatrix, block_diag, eye, hstack, kernel_basis
 
 P = 7
@@ -184,11 +191,37 @@ def moore_fib_witness(f: so.SimplicialMap):
     return None
 
 
+def reference_face_square_witness(f: so.SimplicialMap):
+    """First (m, i, degree) where the comparison of X_{m+1} with the
+    pullback X_m x_{Y_m} Y_{m+1} over the i-th face is not a
+    quasi-isomorphism."""
+    x, y = f.source, f.target
+    for m in range(x.N):
+        for i in range(m + 2):
+            span = ch.pullback(f.level(m), y.face(m + 1, i))
+            corner = ch.pullback_mediator(span, x.face(m + 1, i), f.level(m + 1))
+            t = ch.quasi_iso_witness(corner)
+            if t is not None:
+                return (m, i, t)
+    return None
+
+
+def assert_face_squares_agree(f: so.SimplicialMap):
+    """For a Reedy fibration: the fiber is a simplicial object and its faces
+    give the pullback path's witness.  Returns that witness."""
+    so.validate_sobj(so.fiber(f))
+    sq = cl.face_square_witness(f)
+    assert sq == reference_face_square_witness(f)
+    return sq
+
+
 def assert_witnesses_agree(f: so.SimplicialMap):
     assert cl.reedy_cof_witness(f) == reference_cof_witness(f)
     fib = cl.reedy_fib_witness(f)
     assert fib == moore_fib_witness(f)
     assert fib == reference_fib_witness(f)
+    if fib is None:
+        assert_face_squares_agree(f)
 
 
 def nonzero_dims(c: ch.ChainComplex) -> dict:
@@ -199,24 +232,56 @@ def nonzero_dims(c: ch.ChainComplex) -> dict:
 # witnesses
 
 
+@lru_cache(maxsize=None)
+def sampled_maps(kind: str, N: int) -> tuple:
+    """The draws of ``kind`` at seeds 0-7 that pass the cap."""
+    out = []
+    for seed in range(8):
+        try:
+            out.append(sm.sample(kind, P, N, seed=seed, cap=512))
+        except ResourceCapError:
+            continue
+    return tuple(out)
+
+
 @pytest.mark.parametrize("N", (1, 2, 3))
 @pytest.mark.parametrize("kind", MAP_KINDS)
 def test_witnesses_agree_on_samplers(kind, N):
-    checked = 0
-    for seed in range(8):
-        try:
-            f = sm.sample(kind, P, N, seed=seed, cap=512)
-        except ResourceCapError:
-            continue
+    maps = sampled_maps(kind, N)
+    for f in maps:
         assert_witnesses_agree(f)
-        checked += 1
-    assert checked >= 6
+    assert len(maps) >= 6
+
+
+def test_face_square_witnesses_agree_on_sampled_fibrations():
+    """Every sampled Reedy fibration, N = 1..3, is onto at every level, and
+    the fiber witness is the pullback witness; both verdicts occur."""
+    found = [
+        assert_face_squares_agree(f)
+        for kind in MAP_KINDS
+        for N in (1, 2, 3)
+        for f in sampled_maps(kind, N)
+        if cl.reedy_fib_witness(f) is None
+    ]
+    assert len(found) >= 90
+    assert None in found and sum(w is not None for w in found) >= 5
+
+
+def test_face_square_witness_refuses_maps_that_are_not_onto():
+    f = sm.sample("reedy_cofibration", P, 2, seed=0)
+    assert cl.reedy_fib_witness(f) is not None
+    with pytest.raises(ValidationFailure, match="not onto"):
+        cl.face_square_witness(f)
 
 
 @pytest.mark.parametrize("N", (2, 3))
 def test_witnesses_agree_on_random_small_maps(N):
+    fibrations = 0
     for seed in range(30):
-        assert_witnesses_agree(sm.random_small_map(P, N, sm.rng_for(f"oracle:{N}:{seed}")))
+        f = sm.random_small_map(P, N, sm.rng_for(f"oracle:{N}:{seed}"))
+        assert_witnesses_agree(f)
+        fibrations += cl.reedy_fib_witness(f) is None
+    assert fibrations
 
 
 def test_witnesses_agree_on_boxes_with_injectives():

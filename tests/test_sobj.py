@@ -11,7 +11,9 @@ import pytest
 from reedychain import chain as ch
 from reedychain import sobj as so
 from reedychain import ssets as ss
+from reedychain.dold_kan import dold_kan
 from reedychain.errors import ValidationFailure
+from reedychain.linalg import FpMatrix
 
 P = 7
 
@@ -228,3 +230,33 @@ def test_direct_sum_sobj():
     so.validate_smap(incs[0])
     so.validate_smap(projs[1])
     assert total.level(1).total_dim() == a.level(1).total_dim() + b.level(1).total_dim()
+
+
+def test_validate_smap_names_the_broken_operator():
+    x = so.constant(1, sph(0))
+    so.validate_smap(so.identity_smap(x))
+    doubled = so.SimplicialMap(x, x, (ch.identity_map(sph(0)).scale(2), ch.identity_map(sph(0))))
+    with pytest.raises(ValidationFailure, match=r"^map breaks d_0 at level 1$"):
+        so.validate_smap(doubled)
+    # X_1 = M_0 + M_1 with M_1 killed by both faces; shearing M_0 into M_1
+    # commutes with the faces but not with s_0
+    y = dold_kan([sph(0), sph(0)], [ch.zero_map(sph(0), sph(0))]).obj
+    shear = ch.ChainMap.build(y.level(1), y.level(1), {0: FpMatrix.from_rows(P, [[1, 0], [1, 1]])})
+    f = so.SimplicialMap(y, y, (ch.identity_map(y.level(0)), shear))
+    with pytest.raises(ValidationFailure, match=r"^map breaks s_0 at level 0$"):
+        so.validate_smap(f)
+
+
+def test_operator_reads_the_tables():
+    x = so.tensor_with_sset(sph(0), ss.delta(2, 1))
+    assert x.operator(2, 1, 2) is x.face(2, 2)
+    assert x.operator(1, 2, 1) is x.degen(1, 1)
+
+
+def test_fiber_is_the_levelwise_kernel():
+    f = so.tensor_chain_map(ch.direct_sum_with_maps([sph(1), sph(0)])[2][0], ss.delta(2, 1))
+    fib = so.fiber(f)
+    so.validate_sobj(fib)
+    for n in range(3):
+        assert fib.level(n) == ch.kernel_complex(f.level(n))[0]
+    assert fib == so.tensor_with_sset(sph(0), ss.delta(2, 1))

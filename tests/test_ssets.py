@@ -184,3 +184,56 @@ def test_sset_map_injectivity_flags():
     assert ss.boundary_inclusion(2, 2).is_injective()
     assert not ss.delta_map(2, (0, 0, 1), 1).is_injective()
     assert ss.delta_map(2, (0, 2), 2).weq is True
+
+
+def test_operator_tables_order_and_lookup():
+    """Faces come first, level by level, then degeneracies; a table entry
+    is the operator from level n to level m."""
+    assert ss.operator_indices(2) == [
+        (1, 0, 0), (1, 0, 1), (2, 1, 0), (2, 1, 1), (2, 1, 2),
+        (0, 1, 0), (1, 2, 0), (1, 2, 1),
+    ]
+    seen = []
+    faces, degens = ss.operator_tables(2, lambda n, m, i: seen.append((n, m, i)) or (n, m, i))
+    assert seen == ss.operator_indices(2)
+    assert faces[1][2] == (2, 1, 2) and degens[1][0] == (1, 2, 0)
+    x = ss.delta(2, 1)
+    assert x.operator(2, 1, 2) == x.faces[1][2] and x.operator(1, 2, 0) == x.degens[1][0]
+    # the coface misses i, the codegeneracy hits i twice
+    assert ss.operator_tuple(2, 1, 1) == (0, 2)
+    assert ss.operator_tuple(1, 2, 0) == (0, 0, 1)
+
+
+def circle() -> ss.SSet:
+    """One vertex and one loop, truncated at level 1."""
+    return ss.SSet(1, ((0,), ("s0", "loop")), (((0, 0), (0, 0)),), (((0,),),))
+
+
+def test_validate_sset_map_names_the_broken_operator():
+    x = ss.delta(1, 1)
+    swap = ss.SSetMap(x, x, ((1, 0), (0, 1, 2)))
+    with pytest.raises(ValidationFailure, match=r"^map breaks d_0 at level 1$"):
+        ss.validate_sset_map(swap)
+    c = circle()
+    ss.validate_sset(c)
+    ss.validate_sset_map(ss.SSetMap(c, c, ((0,), (0, 1))))
+    # every edge to the loop commutes with the faces, not with s_0
+    with pytest.raises(ValidationFailure, match=r"^map breaks s_0 at level 0$"):
+        ss.validate_sset_map(ss.SSetMap(c, c, ((0,), (1, 1))))
+
+
+def test_sub_sset_inclusion_refuses_open_selections():
+    x = ss.delta(1, 1)
+    with pytest.raises(ValidationFailure, match=r"^selection not closed under faces$"):
+        ss.sub_sset_inclusion(x, lambda m, lab: lab in ((0,), (0, 1)))
+    with pytest.raises(ValidationFailure, match=r"^selection not closed under degeneracies$"):
+        ss.sub_sset_inclusion(x, lambda m, lab: m == 0 or lab == (0, 1))
+
+
+def test_build_refuses_operators_leaving_the_levels():
+    with pytest.raises(ValidationFailure, match=r"^face d_0 leaves the simplex set at level 1$"):
+        ss.SSet.build(1, [((0,),), ((0, 1),)], ss._tuple_op)
+    with pytest.raises(
+        ValidationFailure, match=r"^degeneracy s_0 leaves the simplex set at level 0$"
+    ):
+        ss.SSet.build(1, [((0,), (1,)), ((0, 1),)], ss._tuple_op)
