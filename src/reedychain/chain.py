@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldMismatchError, ResourceCapError, ValidationFailure
+from .errors import FieldMismatchError, ValidationFailure
 from .linalg import (
     FpMatrix,
     eye,
@@ -39,7 +39,7 @@ class ChainComplex:
     diffs: tuple[FpMatrix, ...]  # diffs[k] : degree lo+k+1 -> lo+k
 
     @classmethod
-    def build(cls, p, lo, dims, diffs, cap: int | None = None) -> "ChainComplex":
+    def build(cls, p, lo, dims, diffs) -> "ChainComplex":
         """Construct with support trimming; ``diffs`` maps source degree t to
         the matrix of d_t."""
         dims = [int(x) for x in dims]
@@ -63,10 +63,6 @@ class ChainComplex:
             if m.shape != (rows, cols):
                 raise ValidationFailure(
                     f"diff at degree {t} has shape {m.shape}, expected {(rows, cols)}"
-                )
-            if cap is not None and m.entry_count() > cap:
-                raise ResourceCapError(
-                    f"diff block at degree {t} has {m.entry_count()} entries, cap {cap}"
                 )
             mats.append(m)
         return cls(p, lo, tuple(dims), tuple(mats))
@@ -125,13 +121,11 @@ def disk(p: int, n: int) -> ChainComplex:
     return ChainComplex.build(p, n - 1, [1, 1], {n: FpMatrix.from_rows(p, [[1]])})
 
 
-def validate_complex(x: ChainComplex, cap: int | None = None):
+def validate_complex(x: ChainComplex):
     """Shape bookkeeping plus d compose d = 0; raises ValidationFailure."""
     for t in x.degrees():
         if x.dim(t) < 0:
             raise ValidationFailure(f"negative dimension at degree {t}")
-        if cap is not None and x.d(t).entry_count() > cap:
-            raise ResourceCapError(f"diff block at degree {t} exceeds cap {cap}")
     for t in x.degrees():
         m = x.d(t) @ x.d(t + 1)
         if not m.is_zero():

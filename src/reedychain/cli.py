@@ -101,10 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family", choices=sorted(_FAMILY_ALIASES))
 
     sp = sub.add_parser("check", help="run a sampled property suite")
-    sp.add_argument(
-        "name",
-        choices=["sm7", "realization-axiom", "lem-match", "prop-proof", "prop-i-cof"],
-    )
+    sp.add_argument("name", choices=hn.CHECKS)
     sp.add_argument(
         "--structure", choices=["reedy", "realization"], default="reedy",
         help="candidate structure for the sm7 suite",

@@ -226,6 +226,18 @@ def solve(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:
     return FpMatrix(a.p, x)
 
 
+def _kernel_of_rref(p: int, r: np.ndarray, pivots, cols: int):
+    """(basis, free): the kernel basis read off an rref ``r``, one column per
+    free coordinate j, with 1 at j and minus the rref entries of column j
+    at the pivots."""
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    k = np.zeros((cols, len(free)), dtype=np.int64)
+    k[free] = np.eye(len(free), dtype=np.int64)
+    k[list(pivots)] = -r[: len(pivots)].take(free, axis=1) % p
+    return k, free
+
+
 def kernel_basis(m: FpMatrix) -> FpMatrix:
     """Basis of ``ker m`` as columns, one per non-pivot column, in column order.
 
@@ -233,13 +245,7 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     pivot row, minus the rref entry in column j.
     """
     r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    k = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for idx, j in enumerate(free):
-        k[j, idx] = 1
-        for row, c in enumerate(pivots):
-            k[c, idx] = (-int(r.a[row, j])) % m.p
-    return FpMatrix(m.p, k)
+    return FpMatrix(m.p, _kernel_of_rref(m.p, r.a, pivots, m.cols)[0])
 
 
 def canonical_basis(span: FpMatrix) -> FpMatrix:
@@ -259,28 +265,17 @@ def quotient_by_columns(sub: FpMatrix, ambient_dim: int) -> tuple[FpMatrix, FpMa
     """Quotient of F_p^ambient_dim by the column span of ``sub``.
 
     Returns (proj, sect): proj maps the ambient space onto the quotient in the
-    basis given by the non-pivot coordinates of the row-reduced span; sect is
-    the standard-basis section with proj @ sect == identity.
+    basis given by the non-pivot coordinates of the row-reduced span (the
+    kernel basis of sub^T, transposed); sect is the standard-basis section
+    with proj @ sect == identity.
     """
     if sub.rows != ambient_dim:
         raise ValueError(f"subspace lives in dim {sub.rows}, expected {ambient_dim}")
-    p = sub.p
     r, pivots = rref(sub.transpose())
-    free = [c for c in range(ambient_dim) if c not in set(pivots)]
-    q = len(free)
-    proj = np.zeros((q, ambient_dim), dtype=np.int64)
-    # reduce e_j against the rref rows; surviving non-pivot coordinates are
-    # the quotient coordinates
-    for out_row, j in enumerate(free):
-        proj[out_row, j] = 1
-    for row, c in enumerate(pivots):
-        # e_c reduces to -sum over free coords of rref entries
-        for out_row, j in enumerate(free):
-            proj[out_row, c] = (-int(r.a[row, j])) % p
-    sect = np.zeros((ambient_dim, q), dtype=np.int64)
-    for idx, j in enumerate(free):
-        sect[j, idx] = 1
-    return FpMatrix(p, proj), FpMatrix(p, sect)
+    k, free = _kernel_of_rref(sub.p, r.a, pivots, ambient_dim)
+    sect = np.zeros((ambient_dim, len(free)), dtype=np.int64)
+    sect[free, range(len(free))] = 1
+    return FpMatrix(sub.p, np.ascontiguousarray(k.T)), FpMatrix(sub.p, sect)
 
 
 def random_invertible(p: int, n: int, rng) -> FpMatrix:

@@ -175,25 +175,37 @@ def sset_to_doc(k: ss.SSet) -> dict:
     }
 
 
-def _index_tables(v, counts_src, counts_tgt, arity, path):
-    if not isinstance(v, list) or len(v) != len(arity):
-        raise SchemaError(f"{path}: expected {len(arity)} operator groups")
-    out = []
-    for m, per_m in enumerate(v):
-        if not isinstance(per_m, list) or len(per_m) != arity[m]:
-            raise SchemaError(f"{path}[{m}]: expected {arity[m]} operators")
-        rows = []
-        for i, row in enumerate(per_m):
-            got = _int_list(row, f"{path}[{m}][{i}]")
-            if len(got) != counts_src[m]:
-                raise SchemaError(
-                    f"{path}[{m}][{i}]: expected {counts_src[m]} entries"
-                )
-            if any(x < 0 or x >= counts_tgt[m] for x in got):
-                raise SchemaError(f"{path}[{m}][{i}]: index out of range")
-            rows.append(tuple(got))
-        out.append(tuple(rows))
-    return tuple(out)
+def _operator_groups(doc, path, N, words, read, upfront=False):
+    """(faces, degens) read from doc["faces"][n-1][i] and
+    doc["degeneracies"][n][i] through ss.operator_tables, as
+    read(n, m, entry, where) of each entry.  A group list's count is checked
+    when it is first reached (both before any entry when ``upfront``) and a
+    group's size before its first entry; ``words`` names the two counts."""
+    keys = ("faces", "degeneracies")
+    lists = {}
+
+    def group_list(key):
+        if key not in lists:
+            v = _need(doc, key, path)
+            if not isinstance(v, list) or len(v) != N:
+                raise SchemaError(f"{path}.{key}: expected {words[0]}")
+            lists[key] = v
+        return lists[key]
+
+    def op(n, m, i):
+        key, g = ("faces", n - 1) if m < n else ("degeneracies", n)
+        group = group_list(key)[g]
+        if i == 0 and (not isinstance(group, list) or len(group) != n + 1):
+            raise SchemaError(f"{path}.{key}[{g}]: expected {n + 1} {words[1]}")
+        return read(n, m, group[i], f"{path}.{key}[{g}][{i}]")
+
+    if upfront:
+        for key in keys:
+            group_list(key)
+    tables = ss.operator_tables(N, op)
+    for key in keys:  # an N = 0 document reaches no operator
+        group_list(key)
+    return tables
 
 
 def sset_from_doc(doc) -> ss.SSet:
@@ -207,21 +219,17 @@ def sset_from_doc(doc) -> ss.SSet:
         tuple(_label_from_doc(lab) for lab in lvl) for lvl in levels_doc
     )
     card = [len(lvl) for lvl in levels]
-    faces = _index_tables(
-        _need(doc, "faces", "sset"),
-        [card[m] for m in range(1, N + 1)],
-        [card[m - 1] for m in range(1, N + 1)],
-        [m + 1 for m in range(1, N + 1)],
-        "sset.faces",
-    )
-    degens = _index_tables(
-        _need(doc, "degeneracies", "sset"),
-        [card[m] for m in range(N)],
-        [card[m + 1] for m in range(N)],
-        [m + 1 for m in range(N)],
-        "sset.degeneracies",
-    )
-    k = ss.SSet(N, levels, faces, degens)
+
+    def row(n, m, v, where):
+        got = _int_list(v, where)
+        if len(got) != card[n]:
+            raise SchemaError(f"{where}: expected {card[n]} entries")
+        if any(x < 0 or x >= card[m] for x in got):
+            raise SchemaError(f"{where}: index out of range")
+        return tuple(got)
+
+    tables = _operator_groups(doc, "sset", N, (f"{N} operator groups", "operators"), row)
+    k = ss.SSet(N, levels, *tables)
     try:
         ss.validate_sset(k)
     except Exception as e:  # noqa: BLE001
@@ -268,18 +276,15 @@ def sset_map_from_doc(doc) -> ss.SSetMap:
 
 
 def sobj_to_doc(x: so.SimplicialObject) -> dict:
+    faces, degens = ss.operator_tables(
+        x.N, lambda n, m, i: {"blocks": _blocks_to_doc(x.operator(n, m, i))}
+    )
     return {
         "p": x.p,
         "N": x.N,
         "levels": [complex_to_doc(x.level(n))["complex"] for n in range(x.N + 1)],
-        "faces": [
-            [{"blocks": _blocks_to_doc(x.face(n, i))} for i in range(n + 1)]
-            for n in range(1, x.N + 1)
-        ],
-        "degeneracies": [
-            [{"blocks": _blocks_to_doc(x.degen(n, i))} for i in range(n + 1)]
-            for n in range(x.N)
-        ],
+        "faces": [list(group) for group in faces],
+        "degeneracies": [list(group) for group in degens],
     }
 
 
@@ -295,45 +300,12 @@ def sobj_from_doc(doc) -> so.SimplicialObject:
         _inner_complex_from_doc(p, lvl, f"sobj.levels[{n}]")
         for n, lvl in enumerate(levels_doc)
     )
-    faces_doc = _need(doc, "faces", "sobj")
-    if not isinstance(faces_doc, list) or len(faces_doc) != N:
-        raise SchemaError("sobj.faces: expected N groups")
-    degens_doc = _need(doc, "degeneracies", "sobj")
-    if not isinstance(degens_doc, list) or len(degens_doc) != N:
-        raise SchemaError("sobj.degeneracies: expected N groups")
-    faces = []
-    for n in range(1, N + 1):
-        group = faces_doc[n - 1]
-        if not isinstance(group, list) or len(group) != n + 1:
-            raise SchemaError(f"sobj.faces[{n - 1}]: expected {n + 1} maps")
-        faces.append(
-            tuple(
-                _map_from_blocks(
-                    levels[n],
-                    levels[n - 1],
-                    _need(m, "blocks", f"sobj.faces[{n - 1}][{i}]"),
-                    f"sobj.faces[{n - 1}][{i}].blocks",
-                )
-                for i, m in enumerate(group)
-            )
-        )
-    degens = []
-    for n in range(N):
-        group = degens_doc[n]
-        if not isinstance(group, list) or len(group) != n + 1:
-            raise SchemaError(f"sobj.degeneracies[{n}]: expected {n + 1} maps")
-        degens.append(
-            tuple(
-                _map_from_blocks(
-                    levels[n],
-                    levels[n + 1],
-                    _need(m, "blocks", f"sobj.degeneracies[{n}][{i}]"),
-                    f"sobj.degeneracies[{n}][{i}].blocks",
-                )
-                for i, m in enumerate(group)
-            )
-        )
-    x = so.SimplicialObject(N, levels, tuple(faces), tuple(degens))
+
+    def chain_map(n, m, v, where):
+        return _map_from_blocks(levels[n], levels[m], _need(v, "blocks", where), f"{where}.blocks")
+
+    tables = _operator_groups(doc, "sobj", N, ("N groups", "maps"), chain_map, upfront=True)
+    x = so.SimplicialObject(N, levels, *tables)
     try:
         so.validate_sobj(x)
     except Exception as e:  # noqa: BLE001

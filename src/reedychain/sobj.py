@@ -104,43 +104,19 @@ def validate_sobj(x: SimplicialObject):
         validate_complex(lvl)
         if lvl.p != x.p:
             raise ValidationFailure("levels over different primes")
-    for n in range(1, x.N + 1):
-        if len(x.faces[n - 1]) != n + 1:
-            raise ValidationFailure(f"expected {n + 1} faces at level {n}")
-        for m in x.faces[n - 1]:
-            if m.source != x.level(n) or m.target != x.level(n - 1):
-                raise ValidationFailure(f"face endpoints wrong at level {n}")
-            validate_map(m)
-    for n in range(x.N):
-        if len(x.degens[n]) != n + 1:
-            raise ValidationFailure(f"expected {n + 1} degeneracies at level {n}")
-        for m in x.degens[n]:
-            if m.source != x.level(n) or m.target != x.level(n + 1):
-                raise ValidationFailure(f"degeneracy endpoints wrong at level {n}")
-            validate_map(m)
-    for n in range(2, x.N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                if x.face(n - 1, i) @ x.face(n, j) != x.face(n - 1, j - 1) @ x.face(n, i):
-                    raise ValidationFailure(f"d_{i} d_{j} fails at level {n}")
-    for n in range(x.N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                if x.degen(n + 1, i) @ x.degen(n, j) != x.degen(n + 1, j + 1) @ x.degen(n, i):
-                    raise ValidationFailure(f"s_{i} s_{j} fails at level {n}")
-    for n in range(x.N):
-        ident = identity_map(x.level(n))
-        for j in range(n + 1):
-            for i in range(n + 2):
-                got = x.face(n + 1, i) @ x.degen(n, j)
-                if i == j or i == j + 1:
-                    want = ident
-                elif i < j:
-                    want = x.degen(n - 1, j - 1) @ x.face(n, i)
-                else:
-                    want = x.degen(n - 1, j) @ x.face(n, i - 1)
-                if got != want:
-                    raise ValidationFailure(f"d_{i} s_{j} fails at level {n}")
+    for n, m, i in ss.operator_indices(x.N):
+        face = m < n
+        if i == 0 and len(x.faces[n - 1] if face else x.degens[n]) != n + 1:
+            noun = "faces" if face else "degeneracies"
+            raise ValidationFailure(f"expected {n + 1} {noun} at level {n}")
+        op = x.operator(n, m, i)
+        if op.source != x.level(n) or op.target != x.level(m):
+            kind = "face" if face else "degeneracy"
+            raise ValidationFailure(f"{kind} endpoints wrong at level {n}")
+        validate_map(op)
+    for name, n, lhs, rhs in ss.simplicial_identities(x.N):
+        if along(x, lhs, n) != along(x, rhs, n):
+            raise ValidationFailure(f"{name} fails at level {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,23 +277,23 @@ def tensor_sset_map(a: ChainComplex, g: ss.SSetMap) -> SimplicialMap:
 # structure maps
 
 
+def along(x: SimplicialObject, path, n: int) -> ChainMap:
+    """The chain map out of X_n along an operator path (ss.factor_monotone,
+    ss.simplicial_identities); the empty path is the identity."""
+    if not path:
+        return identity_map(x.level(n))
+    cur = x.operator(*path[0])
+    for step in path[1:]:
+        cur = x.operator(*step) @ cur
+    return cur
+
+
 def structure_map(x: SimplicialObject, alpha, n: int) -> ChainMap:
     """X(alpha) : X_n -> X_m for monotone alpha: [m] -> [n]."""
     alpha = tuple(alpha)
-    m = len(alpha) - 1
-    if n > x.N or m > x.N:
+    if n > x.N or len(alpha) - 1 > x.N:
         raise ValidationFailure("structure map outside the truncation")
-    ops = ss.factor_monotone(alpha, n)
-    cur = identity_map(x.level(n))
-    lvl = n
-    for kind, i in ops:
-        if kind == "d":
-            cur = x.face(lvl, i) @ cur
-            lvl -= 1
-        else:
-            cur = x.degen(lvl, i) @ cur
-            lvl += 1
-    return cur
+    return along(x, ss.factor_monotone(alpha, n), n)
 
 
 def _stack_into_sum(maps: list[ChainMap], source: ChainComplex, p: int):

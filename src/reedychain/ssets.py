@@ -36,12 +36,9 @@ def monotone_maps(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def factor_monotone(alpha: tuple[int, ...], n: int):
-    """Decompose a monotone alpha: [m] -> [n] into elementary operator steps.
-
-    Returns [(kind, index), ...] with kind in {"d", "s"}; applying the steps
-    in list order to a level-n element computes the induced action X(alpha).
-    """
+def factor_monotone(alpha: tuple[int, ...], n: int) -> list[tuple[int, int, int]]:
+    """The operator path of X(alpha) for a monotone alpha: [m] -> [n]: faces
+    first, then degeneracies, each step an (n, m, i) of operator_indices."""
     alpha = tuple(alpha)
     if not alpha:
         raise ValidationFailure("empty tuple is not a map of simplices")
@@ -49,7 +46,7 @@ def factor_monotone(alpha: tuple[int, ...], n: int):
         raise ValidationFailure(f"{alpha} is not monotone")
     if alpha[0] < 0 or alpha[-1] > n:
         raise ValidationFailure(f"{alpha} is not valued in 0..{n}")
-    ops: list[tuple[str, int]] = []
+    path: list[tuple[int, int, int]] = []
     cur, cur_n = alpha, n
     while True:
         img = set(cur)
@@ -57,15 +54,15 @@ def factor_monotone(alpha: tuple[int, ...], n: int):
         if not missing:
             break
         v = missing[0]
-        ops.append(("d", v))
+        path.append((cur_n, cur_n - 1, v))
         cur = tuple(x - 1 if x > v else x for x in cur)
         cur_n -= 1
-    s_ops: list[tuple[str, int]] = []
+    s_ops: list[int] = []
     while len(cur) - 1 > cur_n:
         i = next(j for j in range(len(cur) - 1) if cur[j] == cur[j + 1])
-        s_ops.append(("s", i))
+        s_ops.append(i)
         cur = cur[: i + 1] + cur[i + 2 :]
-    return ops + list(reversed(s_ops))
+    return path + [(cur_n + k, cur_n + k + 1, i) for k, i in enumerate(reversed(s_ops))]
 
 
 def operator_indices(N: int) -> list[tuple[int, int, int]]:
@@ -93,6 +90,33 @@ def operator_tuple(n: int, m: int, i: int) -> tuple[int, ...]:
     if m < n:
         return tuple(v for v in range(n + 1) if v != i)
     return tuple(v if v <= i else v - 1 for v in range(n + 2))
+
+
+def simplicial_identities(N: int) -> list[tuple[str, int, list, list]]:
+    """(name, n, lhs, rhs) for every simplicial identity on level n of an
+    N-truncated object, as two operator paths that must agree: d_i d_j,
+    then s_i s_j, then d_i s_j.  The empty path is the identity."""
+    out = [
+        (f"d_{i} d_{j}", n, [(n, n - 1, j), (n - 1, n - 2, i)],
+         [(n, n - 1, i), (n - 1, n - 2, j - 1)])
+        for n in range(2, N + 1) for j in range(n + 1) for i in range(j)
+    ]
+    out += [
+        (f"s_{i} s_{j}", n, [(n, n + 1, j), (n + 1, n + 2, i)],
+         [(n, n + 1, i), (n + 1, n + 2, j + 1)])
+        for n in range(N - 1) for j in range(n + 1) for i in range(j + 1)
+    ]
+    for n in range(N):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    rhs = [(n, n - 1, i), (n - 1, n, j - 1)]
+                elif i > j + 1:
+                    rhs = [(n, n - 1, i - 1), (n - 1, n, j)]
+                else:
+                    rhs = []
+                out.append((f"d_{i} s_{j}", n, [(n, n + 1, j), (n + 1, n, i)], rhs))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,67 +189,34 @@ class SSet:
         return hash((self.N, self.levels, self.faces, self.degens))
 
 
+def apply_path(x: SSet, path, idx) -> tuple[int, ...]:
+    """Images of the level-n simplices ``idx`` along an operator path."""
+    out = tuple(idx)
+    for step in path:
+        table = x.operator(*step)
+        out = tuple(table[v] for v in out)
+    return out
+
+
 def validate_sset(x: SSet):
-    """Table shapes plus all five simplicial identity families."""
+    """Table shapes plus the simplicial identities."""
     if len(x.levels) != x.N + 1:
         raise ValidationFailure("level list does not match N")
     if len(x.faces) != x.N or len(x.degens) != x.N:
         raise ValidationFailure("operator tables do not match N")
-    for m in range(1, x.N + 1):
-        if len(x.faces[m - 1]) != m + 1:
-            raise ValidationFailure(f"expected {m + 1} face operators at level {m}")
-        for row in x.faces[m - 1]:
-            if len(row) != x.card(m) or any(
-                not (0 <= v < x.card(m - 1)) for v in row
-            ):
-                raise ValidationFailure(f"face table malformed at level {m}")
-    for m in range(x.N):
-        if len(x.degens[m]) != m + 1:
-            raise ValidationFailure(f"expected {m + 1} degeneracies at level {m}")
-        for row in x.degens[m]:
-            if len(row) != x.card(m) or any(
-                not (0 <= v < x.card(m + 1)) for v in row
-            ):
-                raise ValidationFailure(f"degeneracy table malformed at level {m}")
-    for m in range(2, x.N + 1):
-        for j in range(m + 1):
-            for i in range(j):
-                for idx in range(x.card(m)):
-                    if x.face(m - 1, i, x.face(m, j, idx)) != x.face(
-                        m - 1, j - 1, x.face(m, i, idx)
-                    ):
-                        raise ValidationFailure(
-                            f"d_{i} d_{j} identity fails at level {m}"
-                        )
-    for m in range(x.N - 1):
-        for j in range(m + 1):
-            for i in range(j + 1):
-                for idx in range(x.card(m)):
-                    if x.degen(m + 1, i, x.degen(m, j, idx)) != x.degen(
-                        m + 1, j + 1, x.degen(m, i, idx)
-                    ):
-                        raise ValidationFailure(
-                            f"s_{i} s_{j} identity fails at level {m}"
-                        )
-    for m in range(x.N):
-        for j in range(m + 1):
-            for i in range(m + 2):
-                for idx in range(x.card(m)):
-                    got = x.face(m + 1, i, x.degen(m, j, idx))
-                    if i < j:
-                        want = x.degen(m - 1, j - 1, x.face(m, i, idx)) if m else None
-                        if want is None:
-                            raise ValidationFailure("mixed identity out of range")
-                    elif i in (j, j + 1):
-                        want = idx
-                    else:
-                        want = x.degen(m - 1, j, x.face(m, i - 1, idx)) if m else None
-                        if want is None:
-                            raise ValidationFailure("mixed identity out of range")
-                    if got != want:
-                        raise ValidationFailure(
-                            f"d_{i} s_{j} identity fails at level {m}"
-                        )
+    for n, m, i in operator_indices(x.N):
+        face = m < n
+        if i == 0 and len(x.faces[n - 1] if face else x.degens[n]) != n + 1:
+            noun = "face operators" if face else "degeneracies"
+            raise ValidationFailure(f"expected {n + 1} {noun} at level {n}")
+        row = x.operator(n, m, i)
+        if len(row) != x.card(n) or any(not (0 <= v < x.card(m)) for v in row):
+            kind = "face" if face else "degeneracy"
+            raise ValidationFailure(f"{kind} table malformed at level {n}")
+    for name, n, lhs, rhs in simplicial_identities(x.N):
+        idx = range(x.card(n))
+        if apply_path(x, lhs, idx) != apply_path(x, rhs, idx):
+            raise ValidationFailure(f"{name} identity fails at level {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,19 +482,6 @@ def normalized_chains_map(f: SSetMap, p: int) -> ChainMap:
 def operator_action(x: SSet, alpha: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Index map X_n -> X_m for monotone alpha: [m] -> [n], both within the
     truncation."""
-    m = len(alpha) - 1
-    if n > x.N or m > x.N:
+    if n > x.N or len(alpha) - 1 > x.N:
         raise ValidationFailure("operator action outside the truncation")
-    ops = factor_monotone(tuple(alpha), n)
-    out = []
-    for idx in range(x.card(n)):
-        cur, lvl = idx, n
-        for kind, i in ops:
-            if kind == "d":
-                cur = x.face(lvl, i, cur)
-                lvl -= 1
-            else:
-                cur = x.degen(lvl, i, cur)
-                lvl += 1
-        out.append(cur)
-    return tuple(out)
+    return apply_path(x, factor_monotone(tuple(alpha), n), range(x.card(n)))

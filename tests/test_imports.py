@@ -6,6 +6,7 @@ top-level ``import`` or ``from ... import`` must occur as a name somewhere
 in the module (or in its ``__all__``)."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,55 @@ def test_gate_sees_an_unused_import(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import os\nfrom sys import path, argv\n\nprint(argv)\n", encoding="utf-8")
     assert unused_imports(mod) == ["os", "path"]
+
+
+# Where a library name may be used: the library, its tests, the benchmark
+# and the scripts.  A name counts wherever it occurs as a word, strings
+# included, so the benchmark tracer's ``SPANS`` table keeps its entries.
+ROOT = SRC.parent.parent
+USERS = ("src", "tests", "perfbench", "scripts")
+
+
+def unused_definitions(src: Path, users: list[Path]) -> list[str]:
+    """``module.name`` of every module-level function or class under ``src``
+    that no file in ``users`` names outside the definition itself."""
+    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in users}
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            used = any(
+                word.search(line)
+                for user, lines in texts.items()
+                for no, line in enumerate(lines, 1)
+                if not (user == path and first <= no <= node.end_lineno)
+            )
+            if not used:
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_definition_is_used():
+    users = [path for d in USERS for path in (ROOT / d).rglob("*.py")]
+    assert unused_definitions(SRC, users) == []
+
+
+def test_gate_sees_an_unused_definition(tmp_path):
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    (lib / "mod.py").write_text(
+        "def dead(n):\n    return dead(n - 1)  # only itself\n\n\n"
+        "def traced():\n    pass\n\n\n"
+        "class Used:\n    pass\n\n\n"
+        "@staticmethod\ndef decorated():\n    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "user.py").write_text(
+        "SPANS = {'mod': ('traced',)}\nfrom lib.mod import Used\n", encoding="utf-8"
+    )
+    users = [lib / "mod.py", tmp_path / "user.py"]
+    assert unused_definitions(lib, users) == ["mod.dead", "mod.decorated"]

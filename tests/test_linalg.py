@@ -216,3 +216,51 @@ def test_quotient_dimension_theorem(m):
     assert proj.shape == (q, m.shape[0])
     assert (proj @ sect) == eye(7, q)
     assert (proj @ m).is_zero()
+
+
+# The Python-loop kernel and quotient readings that the vectorized ones
+# replaced, kept as references.
+def loop_kernel_basis(m: FpMatrix) -> FpMatrix:
+    r, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in set(pivots)]
+    k = np.zeros((m.cols, len(free)), dtype=np.int64)
+    for idx, j in enumerate(free):
+        k[j, idx] = 1
+        for row, c in enumerate(pivots):
+            k[c, idx] = (-int(r.a[row, j])) % m.p
+    return FpMatrix(m.p, k)
+
+
+def loop_quotient_by_columns(sub: FpMatrix, ambient_dim: int):
+    p = sub.p
+    r, pivots = rref(sub.transpose())
+    free = [c for c in range(ambient_dim) if c not in set(pivots)]
+    q = len(free)
+    proj = np.zeros((q, ambient_dim), dtype=np.int64)
+    for out_row, j in enumerate(free):
+        proj[out_row, j] = 1
+    for row, c in enumerate(pivots):
+        for out_row, j in enumerate(free):
+            proj[out_row, c] = (-int(r.a[row, j])) % p
+    sect = np.zeros((ambient_dim, q), dtype=np.int64)
+    for idx, j in enumerate(free):
+        sect[j, idx] = 1
+    return FpMatrix(p, proj), FpMatrix(p, sect)
+
+
+def _same(a: FpMatrix, b: FpMatrix) -> bool:
+    return (a.p, a.a.shape, a.a.dtype, a.a.tobytes()) == (b.p, b.a.shape, b.a.dtype, b.a.tobytes())
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32749])
+def test_kernel_and_quotient_match_the_loop_references(p):
+    rng = np.random.default_rng(p)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1)]
+    shapes += [tuple(rng.integers(1, 10, size=2)) for _ in range(60)]
+    for rows, cols in shapes:
+        for density in (0.1, 1.0):
+            a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+            m = FpMatrix(p, a)
+            assert _same(kernel_basis(m), loop_kernel_basis(m))
+            got, want = quotient_by_columns(m, rows), loop_quotient_by_columns(m, rows)
+            assert _same(got[0], want[0]) and _same(got[1], want[1])

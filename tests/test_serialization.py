@@ -1,5 +1,6 @@
 """JSON codecs: canonical forms, round trips, and schema diagnostics."""
 
+import copy
 import json
 
 import pytest
@@ -171,3 +172,81 @@ def test_not_json_is_schema_error():
         sz.loads("{nope")
     with pytest.raises(SchemaError):
         sz.loads(json.dumps({"unrecognized": 1}))
+
+
+def _edited(doc, edit):
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return doc
+
+
+def _set(key, *where, value):
+    """An edit setting doc[key][where...] to value."""
+    def edit(doc):
+        path = (key, *where)
+        target = doc
+        for w in path[:-1]:
+            target = target[w]
+        target[path[-1]] = value
+    return edit
+
+
+# (edit, message) for the group checks of both codecs.  A face or
+# degeneracy list is checked when the sset codec reaches it, and both up
+# front in the sobj codec; so with two faults they report different ones.
+SSET_GROUP_CASES = [
+    (lambda d: d.pop("faces"), "sset.faces: missing field"),
+    (_set("faces", value=3), "sset.faces: expected 2 operator groups"),
+    (lambda d: d["faces"].pop(), "sset.faces: expected 2 operator groups"),
+    (_set("faces", 0, value={}), "sset.faces[0]: expected 2 operators"),
+    (lambda d: d["faces"][1].pop(), "sset.faces[1]: expected 3 operators"),
+    (_set("faces", 1, 2, value=7), "sset.faces[1][2]: expected an array"),
+    (_set("faces", 1, 2, 0, value=True), "sset.faces[1][2][0]: expected an integer"),
+    (lambda d: d["faces"][1][0].pop(), "sset.faces[1][0]: expected 9 entries"),
+    (_set("faces", 0, 1, 0, value=3), "sset.faces[0][1]: index out of range"),
+    (lambda d: d.pop("degeneracies"), "sset.degeneracies: missing field"),
+    (lambda d: d["degeneracies"].append([]), "sset.degeneracies: expected 2 operator groups"),
+    (lambda d: d["degeneracies"][0].append([0, 0, 0]), "sset.degeneracies[0]: expected 1 operators"),
+    (_set("degeneracies", 1, 1, value="x"), "sset.degeneracies[1][1]: expected an array"),
+    (lambda d: d["degeneracies"][1][1].append(0), "sset.degeneracies[1][1]: expected 6 entries"),
+    (_set("degeneracies", 0, 0, 2, value=-1), "sset.degeneracies[0][0]: index out of range"),
+    (lambda d: (d["faces"][0].pop(), d.pop("degeneracies")), "sset.faces[0]: expected 2 operators"),
+    (lambda d: d.update(N=0, levels=d["levels"][:1]), "sset.faces: expected 0 operator groups"),
+    (lambda d: d.update(N=0, levels=d["levels"][:1], faces=[]),
+     "sset.degeneracies: expected 0 operator groups"),
+]
+
+SOBJ_GROUP_CASES = [
+    (lambda d: d.pop("faces"), "sobj.faces: missing field"),
+    (lambda d: d["faces"].pop(), "sobj.faces: expected N groups"),
+    (_set("faces", 1, value=None), "sobj.faces[1]: expected 3 maps"),
+    (lambda d: d["faces"][0].append({}), "sobj.faces[0]: expected 2 maps"),
+    (_set("faces", 1, 0, value=[]), "sobj.faces[1][0]: expected an object"),
+    (lambda d: d["faces"][1][2].pop("blocks"), "sobj.faces[1][2].blocks: missing field"),
+    (_set("faces", 0, 1, "blocks", value=[]),
+     "sobj.faces[0][1].blocks: expected an object of degree -> matrix"),
+    (lambda d: d.pop("degeneracies"), "sobj.degeneracies: missing field"),
+    (_set("degeneracies", value={}), "sobj.degeneracies: expected N groups"),
+    (lambda d: d["degeneracies"][1].pop(), "sobj.degeneracies[1]: expected 2 maps"),
+    (lambda d: d["degeneracies"][0][0].pop("blocks"), "sobj.degeneracies[0][0].blocks: missing field"),
+    (lambda d: (d["faces"][0].pop(), d.pop("degeneracies")), "sobj.degeneracies: missing field"),
+    (lambda d: d.update(N=0, levels=d["levels"][:1], faces=[], degeneracies=[[]]),
+     "sobj.degeneracies: expected N groups"),
+    (lambda d: (d.update(N=0, levels=d["levels"][:1]), d.pop("faces")), "sobj.faces: missing field"),
+]
+
+
+@pytest.mark.parametrize("edit, message", SSET_GROUP_CASES)
+def test_sset_codec_group_checks(edit, message):
+    doc = _edited(sz.sset_to_doc(ss.boundary_inclusion(2, 2).source), edit)
+    with pytest.raises(SchemaError) as err:
+        sz.sset_from_doc(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edit, message", SOBJ_GROUP_CASES)
+def test_sobj_codec_group_checks(edit, message):
+    doc = _edited(sz.sobj_to_doc(so.tensor_with_sset(ch.disk(P, 1), ss.delta(2, 1))), edit)
+    with pytest.raises(SchemaError) as err:
+        sz.sobj_from_doc(doc)
+    assert str(err.value) == message

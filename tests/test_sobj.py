@@ -260,3 +260,42 @@ def test_fiber_is_the_levelwise_kernel():
     for n in range(3):
         assert fib.level(n) == ch.kernel_complex(f.level(n))[0]
     assert fib == so.tensor_with_sset(sph(0), ss.delta(2, 1))
+
+
+def with_operator(x, n, m, i, op):
+    """``x`` with the operator from level n to level m replaced, unvalidated."""
+    faces = [list(group) for group in x.faces]
+    degens = [list(group) for group in x.degens]
+    (faces[n - 1] if m < n else degens[n])[i] = op
+    return so.SimplicialObject(x.N, x.levels, tuple(map(tuple, faces)), tuple(map(tuple, degens)))
+
+
+def test_validate_sobj_shape_messages():
+    x = so.tensor_with_sset(ch.disk(P, 1), ss.delta(2, 1))
+    other = so.constant(2, ch.sphere(11, 0))
+    wrong = ch.zero_map(x.level(2), x.level(0))
+    d0 = x.face(1, 0)
+    bumped = FpMatrix(P, d0.block(0).a + np.eye(*d0.block(0).shape, dtype=np.int64))
+    broken = ch.ChainMap(d0.source, d0.target, (bumped,) + d0.blocks[1:])
+    cases = [
+        (so.SimplicialObject(2, x.levels[:2], x.faces, x.degens),
+         "level or operator count does not match N"),
+        (so.SimplicialObject(2, x.levels, x.faces[:1], x.degens),
+         "level or operator count does not match N"),
+        (so.SimplicialObject(2, x.levels[:2] + other.levels[2:], x.faces, x.degens),
+         "levels over different primes"),
+        (so.SimplicialObject(2, x.levels, (x.faces[0][:1], x.faces[1]), x.degens),
+         "expected 2 faces at level 1"),
+        (so.SimplicialObject(2, x.levels, (x.faces[0], x.faces[1] * 2), x.degens),
+         "expected 3 faces at level 2"),
+        (so.SimplicialObject(2, x.levels, x.faces, (x.degens[0] * 2, x.degens[1])),
+         "expected 1 degeneracies at level 0"),
+        (with_operator(x, 2, 1, 1, wrong), "face endpoints wrong at level 2"),
+        (with_operator(x, 1, 2, 0, ch.identity_map(x.level(1))),
+         "degeneracy endpoints wrong at level 1"),
+        (with_operator(x, 1, 0, 0, broken), "map does not commute with d at degree 1"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValidationFailure) as err:
+            so.validate_sobj(bad)
+        assert str(err.value) == message

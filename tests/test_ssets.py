@@ -9,6 +9,8 @@ import math
 import pytest
 
 from reedychain import chain as ch
+from reedychain import sampling as sm
+from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain.errors import ValidationFailure
 from reedychain.linalg import FpMatrix
@@ -237,3 +239,143 @@ def test_build_refuses_operators_leaving_the_levels():
         ValidationFailure, match=r"^degeneracy s_0 leaves the simplex set at level 0$"
     ):
         ss.SSet.build(1, [((0,), (1,)), ((0, 1),)], ss._tuple_op)
+
+
+def test_factor_monotone_returns_operator_paths():
+    """Faces first, then degeneracies; each step is the (n, m, i) of an
+    operator and starts where the previous one ended."""
+    assert ss.factor_monotone((0, 1, 2), 2) == []
+    assert ss.factor_monotone((0, 2), 2) == [(2, 1, 1)]
+    assert ss.factor_monotone((0, 0, 2), 2) == [(2, 1, 1), (1, 2, 0)]
+    assert ss.factor_monotone((1, 1, 1, 3), 3) == [(3, 2, 0), (2, 1, 1), (1, 2, 0), (2, 3, 0)]
+    assert ss.factor_monotone((0, 1, 1, 2, 2), 2) == [(2, 3, 2), (3, 4, 1)]
+    for n in range(4):
+        for m in range(4):
+            for alpha in ss.monotone_maps(m, n):
+                path = ss.factor_monotone(alpha, n)
+                levels = [n] + [step[1] for step in path]
+                assert [step[0] for step in path] == levels[:-1] and levels[-1] == m
+                kinds = [step[1] < step[0] for step in path]
+                assert kinds == sorted(kinds, reverse=True)
+
+
+def _paths(N, n, length):
+    """Every operator path of the given length out of level n."""
+    if length == 0:
+        return [[]]
+    out = []
+    for step in ss.operator_indices(N):
+        if step[0] == n:
+            out += [[step] + rest for rest in _paths(N, step[1], length - 1)]
+    return out
+
+
+def test_apply_path_composes_faces_and_degeneracies():
+    for x in (ss.delta(3, 2), ss.boundary_inclusion(3, 2).source):
+        for n in range(x.N + 1):
+            for length in range(4):
+                for path in _paths(x.N, n, length):
+                    want = []
+                    for idx in range(x.card(n)):
+                        for lvl, m, i in path:
+                            idx = x.face(lvl, i, idx) if m < lvl else x.degen(lvl, i, idx)
+                        want.append(idx)
+                    assert ss.apply_path(x, path, range(x.card(n))) == tuple(want)
+
+
+def test_along_composes_face_and_degeneracy_maps():
+    x = sm.draw("random_sobj", P, 2, seed=3)
+    for n in range(x.N + 1):
+        for length in range(3):
+            for path in _paths(x.N, n, length):
+                want = ch.identity_map(x.level(n))
+                for lvl, m, i in path:
+                    want = (x.face(lvl, i) if m < lvl else x.degen(lvl, i)) @ want
+                assert so.along(x, path, n) == want
+
+
+def test_simplicial_identities_listing():
+    ids = ss.simplicial_identities(2)
+    names = [(name, n) for name, n, _, _ in ids]
+    assert names == [
+        ("d_0 d_1", 2), ("d_0 d_2", 2), ("d_1 d_2", 2),
+        ("s_0 s_0", 0),
+        ("d_0 s_0", 0), ("d_1 s_0", 0),
+        ("d_0 s_0", 1), ("d_1 s_0", 1), ("d_2 s_0", 1),
+        ("d_0 s_1", 1), ("d_1 s_1", 1), ("d_2 s_1", 1),
+    ]
+    by_name = {(name, n): (lhs, rhs) for name, n, lhs, rhs in ids}
+    assert by_name["d_0 d_2", 2] == ([(2, 1, 2), (1, 0, 0)], [(2, 1, 0), (1, 0, 1)])
+    assert by_name["s_0 s_0", 0] == ([(0, 1, 0), (1, 2, 0)], [(0, 1, 0), (1, 2, 1)])
+    assert by_name["d_1 s_0", 1] == ([(1, 2, 0), (2, 1, 1)], [])
+    assert by_name["d_2 s_0", 1] == ([(1, 2, 0), (2, 1, 2)], [(1, 0, 1), (0, 1, 0)])
+    assert by_name["d_0 s_1", 1] == ([(1, 2, 1), (2, 1, 0)], [(1, 0, 0), (0, 1, 0)])
+    # both sides of every identity run between the same levels
+    for N in range(5):
+        for _, n, lhs, rhs in ss.simplicial_identities(N):
+            assert lhs[0][0] == n and (not rhs or rhs[0][0] == n)
+            assert lhs[-1][1] == (rhs[-1][1] if rhs else n)
+            assert all(0 <= step[1] <= N for step in lhs + rhs)
+
+
+def retabled(x, faces=None, degens=None, levels=None) -> ss.SSet:
+    """``x`` with some of its fields replaced, unvalidated."""
+    return ss.SSet(
+        x.N, x.levels if levels is None else levels,
+        x.faces if faces is None else faces, x.degens if degens is None else degens,
+    )
+
+
+def tampered(x, n, m, i, lab, out) -> ss.SSet:
+    """``x`` with the operator from level n to level m sending lab to out."""
+    faces = [[list(row) for row in group] for group in x.faces]
+    degens = [[list(row) for row in group] for group in x.degens]
+    (faces[n - 1] if m < n else degens[n])[i][x.index_of(n, lab)] = x.index_of(m, out)
+    frozen = lambda groups: tuple(tuple(tuple(row) for row in g) for g in groups)  # noqa: E731
+    return retabled(x, frozen(faces), frozen(degens))
+
+
+# One tampered entry per identity family; each is the first identity to fail.
+IDENTITY_TAMPERS = [
+    (3, (2, 1, 0), (0, 0, 1), (0, 0), "d_0 d_1", 2),
+    (3, (1, 2, 0), (0, 1), (0, 0, 0), "s_0 s_1", 1),
+    (3, (0, 1, 0), (1,), (0, 0), "d_0 s_0", 0),
+    (2, (1, 2, 1), (0, 1), (0, 0, 0), "d_0 s_1", 1),
+]
+
+
+@pytest.mark.parametrize("N, op, lab, out, name, level", IDENTITY_TAMPERS)
+def test_validators_name_the_failing_identity(N, op, lab, out, name, level):
+    """A tampered simplicial set, and the simplicial object of its chains,
+    fail the same identity."""
+    bad = tampered(ss.delta(N, 1), *op, lab, out)
+    with pytest.raises(ValidationFailure, match=rf"^{name} identity fails at level {level}$"):
+        ss.validate_sset(bad)
+    with pytest.raises(ValidationFailure, match=rf"^{name} fails at level {level}$"):
+        so.validate_sobj(so.tensor_with_sset(ch.sphere(P, 0), bad))
+
+
+def test_validate_sset_shape_messages():
+    x = ss.delta(2, 1)
+    cases = [
+        (retabled(x, levels=x.levels[:2]), "level list does not match N"),
+        (retabled(x, faces=x.faces[:1]), "operator tables do not match N"),
+        (retabled(x, degens=x.degens + x.degens[:1]), "operator tables do not match N"),
+        (retabled(x, faces=(x.faces[0][:1], x.faces[1])), "expected 2 face operators at level 1"),
+        (retabled(x, faces=(x.faces[0], x.faces[1] + x.faces[1][:1])),
+         "expected 3 face operators at level 2"),
+        (retabled(x, faces=(x.faces[0], (x.faces[1][0][:-1],) + x.faces[1][1:])),
+         "face table malformed at level 2"),
+        (retabled(x, faces=((x.faces[0][0], (2,) + x.faces[0][1][1:]), x.faces[1])),
+         "face table malformed at level 1"),
+        (retabled(x, degens=(x.degens[0] * 2, x.degens[1])), "expected 1 degeneracies at level 0"),
+        (retabled(x, degens=(x.degens[0], x.degens[1][:1])), "expected 2 degeneracies at level 1"),
+        (retabled(x, degens=((x.degens[0][0] + (0,),), x.degens[1])),
+         "degeneracy table malformed at level 0"),
+        (retabled(x, degens=(x.degens[0], (x.degens[1][0], (-1,) + x.degens[1][1][1:]))),
+         "degeneracy table malformed at level 1"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValidationFailure) as err:
+            ss.validate_sset(bad)
+        assert str(err.value) == message
