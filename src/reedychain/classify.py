@@ -48,6 +48,7 @@ from .chain import (
     SpanResult,
     invert_map,
     is_iso,
+    kernel_complex,
     mono_witness,
     pullback,
     pullback_mediator,
@@ -68,13 +69,8 @@ class RelativeMatching:
     my: so.Matching
 
 
-def relative_matching(
-    f: SimplicialMap, n: int, mx: so.Matching | None = None, my: so.Matching | None = None
-) -> RelativeMatching:
-    if mx is None:
-        mx = so.matching(f.source, n)
-    if my is None:
-        my = so.matching(f.target, n)
+def relative_matching(f: SimplicialMap, n: int) -> RelativeMatching:
+    mx, my = so.matching(f.source, n), so.matching(f.target, n)
     mf = so.matching_map_of(f, n, mx, my)
     span = pullback(my.from_level, mf)
     m = pullback_mediator(span, f.level(n), mx.from_level)
@@ -103,7 +99,7 @@ def _cycles(tot: tt.TotalComplex, n: int, t: int):
     """Basis of Z_n = ker d'_n at degree t, as columns over level n; Z_0 is
     all of level 0."""
     if n == 0:
-        return eye(tot.obj.p, tot.levels[0].dim(t))
+        return eye(tot.levels[0].p, tot.levels[0].dim(t))
     return kernel_basis(tot.dprimes[n - 1].block(t))
 
 
@@ -143,29 +139,41 @@ def reedy_fib_witness(
 def face_square_witness(f: SimplicialMap):
     """First (m, i, degree) where the comparison of X_{m+1} with the
     pullback X_m x_{Y_m} Y_{m+1} over the i-th face is not a
-    quasi-isomorphism: the face d_i of the fiber at level m + 1, which has
-    the same cone homology.  Refuses an f that is not onto at some level,
-    where the fiber does not see the square."""
-    fib = so.fiber(f)
-    for n in range(f.source.N + 1):
+    quasi-isomorphism: the face d_i of the fiber F = ker f at level m + 1,
+    which has the same cone homology.  Only the kernels and the faces
+    restricted to them are built.  Refuses an f that is not onto at some
+    level, where the fiber does not see the square."""
+    x = f.source
+    kers = [kernel_complex(f.level(n)) for n in range(x.N + 1)]
+    for n in range(x.N + 1):
         for t in f.target.level(n).degrees():
-            if fib.level(n).dim(t) != f.source.level(n).dim(t) - f.target.level(n).dim(t):
+            if kers[n][0].dim(t) != x.level(n).dim(t) - f.target.level(n).dim(t):
                 raise ValidationFailure(
                     f"face squares need f onto at every level; f_{n} is not onto in degree {t}"
                 )
-    w = homotopically_constant_witness(fib)
+
+    def face(n: int, i: int) -> ChainMap:
+        return so.factor_through_mono(kers[n - 1][1], x.face(n, i) @ kers[n][1])
+
+    w = _first_face_not_quasi_iso(x.N, face)
     return None if w is None else (w[0] - 1, w[1], w[2])
+
+
+def _first_face_not_quasi_iso(N: int, face):
+    """First (level, face, degree) where face(n, i) is not a
+    quasi-isomorphism, levels 1..N in order."""
+    for n in range(1, N + 1):
+        for i in range(n + 1):
+            t = quasi_iso_witness(face(n, i))
+            if t is not None:
+                return (n, i, t)
+    return None
 
 
 def homotopically_constant_witness(x: SimplicialObject):
     """First (level, face, degree) where a face map fails to be a
     quasi-isomorphism; all degeneracies follow by two-out-of-three."""
-    for n in range(1, x.N + 1):
-        for i in range(n + 1):
-            t = quasi_iso_witness(x.face(n, i))
-            if t is not None:
-                return (n, i, t)
-    return None
+    return _first_face_not_quasi_iso(x.N, x.face)
 
 
 def is_homotopically_constant(x: SimplicialObject) -> bool:
@@ -291,32 +299,13 @@ class CotensorSquare:
     yk: so.Cotensor
 
 
-def cotensor_map(
-    f: SimplicialMap,
-    i: ss.SSetMap,
-    xl: so.Cotensor | None = None,
-    xk: so.Cotensor | None = None,
-    yl: so.Cotensor | None = None,
-    yk: so.Cotensor | None = None,
-) -> CotensorSquare:
-    """The corner map of f: X -> Y along i: K -> L.  Cotensors passed in
-    are used as given, so callers can share them across corners."""
+def cotensor_map(f: SimplicialMap, i: ss.SSetMap) -> CotensorSquare:
+    """The corner map of f: X -> Y along i: K -> L."""
     x, y = f.source, f.target
-    k, l = i.source, i.target
-    if xl is None:
-        xl = so.cotensor0(x, l)
-    if xk is None:
-        xk = so.cotensor0(x, k)
-    if yl is None:
-        yl = so.cotensor0(y, l)
-    if yk is None:
-        yk = so.cotensor0(y, k)
-    ry = so.cotensor_restrict(y, i, yl, yk)
-    ak = so.cotensor_apply(f, k, xk, yk)
-    span = pullback(ry, ak)
-    al = so.cotensor_apply(f, l, xl, yl)
-    rx = so.cotensor_restrict(x, i, xl, xk)
-    m = pullback_mediator(span, al, rx)
+    xl, xk = so.cotensor0(x, i.target), so.cotensor0(x, i.source)
+    yl, yk = so.cotensor0(y, i.target), so.cotensor0(y, i.source)
+    span = pullback(so.cotensor_restrict(i, yl, yk), so.cotensor_apply(f, xk, yk))
+    m = pullback_mediator(span, so.cotensor_apply(f, xl, yl), so.cotensor_restrict(i, xl, xk))
     return CotensorSquare(m, span, xl, xk, yl, yk)
 
 

@@ -8,18 +8,31 @@ decidable and every witness is exact.  The universal form quantifies
 over all commuting squares at once by comparing the span of squares
 with the image of h -> (h restricted, h projected).
 
-Against a boxed generator f box i the universal form needs no square
-system: by the tensor/cotensor adjunction, f box i lifts against q iff the
-chain map f lifts against the corner map X^L -> Y^L x_{Y^K} X^K of q along
-i (Hovey, Model Categories, Lemma 4.2.2; Hirschhorn, Prop. 9.3.7), and for
-the chain generators that is one closed-form rank condition.
+Against a boxed generator f box i no square system is needed: by the
+tensor/cotensor adjunction, f box i lifts against q iff the chain map f
+lifts against the corner map X^L -> Y^L x_{Y^K} X^K of q along i (Hovey,
+Model Categories, Lemma 4.2.2; Hirschhorn, Prop. 9.3.7), and for the chain
+generators that is one closed-form rank condition.  Whether f lifts
+depends on the corner only up to isomorphism, and for the generators'
+simplicial parts the corner is read off the levels: X^{Delta^n} = X_n by
+Yoneda, so along a coface d^j: Delta^{n-1} -> Delta^n it is
+X_n -> Y_n x_{Y_{n-1}} X_{n-1} through the faces d_j, and along the
+boundary inclusion it is the relative matching map
+X_n -> Y_n x_{M_nY} M_nX (Hovey 5.2; Hirschhorn 15.3).
 """
 
 from dataclasses import dataclass
 
 from . import sobj as so
 from . import ssets as ss
-from .chain import ChainMap, disk_from_zero, sphere_disk_inclusion
+from .chain import (
+    ChainMap,
+    disk_from_zero,
+    pullback,
+    pullback_mediator,
+    sphere_disk_inclusion,
+)
+from .classify import pushout_product, relative_matching
 from .errors import InternalInvariantError, ValidationFailure
 from .linalg import check_system_cap, hstack, vstack, zeros
 from .sobj import SimplicialMap
@@ -189,11 +202,11 @@ _CHAIN_PARTS = {
 
 
 def _members(
-    family: str, N: int, window: tuple[int, int], n_range: tuple[int, int]
-) -> list[tuple[str, int, str, ss.SSetMap]]:
-    """(label, m, sset part, i) for every member of a family, in order: the
-    chain generator in degree m boxed with i.  I and J' take the boundary
-    inclusions, J'' the elementary coface maps."""
+    family: str, window: tuple[int, int], n_range: tuple[int, int]
+) -> list[tuple[str, int, str, int, int | None]]:
+    """(label, m, sset part, n, j) for every member of a family, in order:
+    the chain generator in degree m boxed with the boundary inclusion of
+    the n-simplex (I and J', j None) or with the coface d^j into it (J'')."""
     if family not in FAMILIES:
         raise ValueError(f"unknown generator family {family!r}")
     lo, hi = window
@@ -204,13 +217,11 @@ def _members(
     for m in range(lo, hi + 1):
         if family in ("I", "J'"):
             for n in range(max(0, nlo), nhi + 1):
-                i = ss.boundary_inclusion(N, n)
-                out.append((f"{family}[m={m},n={n}]", m, f"boundary:{n}", i))
+                out.append((f"{family}[m={m},n={n}]", m, f"boundary:{n}", n, None))
         else:
             for n in range(max(1, nlo), nhi + 1):
                 for j in range(n + 1):
-                    i = ss.delta_map(N, ss.operator_tuple(n, n - 1, j), n)
-                    out.append((f"{family}[m={m},n={n},face={j}]", m, f"coface:{n}:{j}", i))
+                    out.append((f"{family}[m={m},n={n},face={j}]", m, f"coface:{n}:{j}", n, j))
     return out
 
 
@@ -223,15 +234,31 @@ def generators(
     disk coevaluations with boundary inclusions, J'' the sphere-disk
     inclusions with the elementary coface maps.
     """
-    from .classify import pushout_product
-
-    members = _members(family, N, window, n_range)
+    members = _members(family, window, n_range)
     name, chain_gen, _ = _CHAIN_PARTS[family]
-    boxed = tuple(
-        Generator(label, pushout_product(chain_gen(p, m), i), f"{name}:{m}", part, i.weq)
-        for label, m, part, i in members
-    )
-    return GeneratorFamily(family, tuple(window), tuple(n_range), boxed)
+    boxed = []
+    for label, m, part, n, j in members:
+        if j is None:
+            i = ss.boundary_inclusion(N, n)
+        else:
+            i = ss.delta_map(N, ss.operator_tuple(n, n - 1, j), n)
+        box = pushout_product(chain_gen(p, m), i)
+        boxed.append(Generator(label, box, f"{name}:{m}", part, i.weq))
+    return GeneratorFamily(family, tuple(window), tuple(n_range), tuple(boxed))
+
+
+def corner_map(q: SimplicialMap, n: int, j: int | None = None) -> ChainMap:
+    """The corner map of q: X -> Y along the boundary inclusion of the
+    n-simplex (j None) or along the coface d^j: Delta^{n-1} -> Delta^n, up
+    to isomorphism and read off the levels.  X^{Delta^n} = X_n by Yoneda and
+    X^{boundary} = M_nX, so the boundary corner is the relative matching
+    map X_n -> Y_n x_{M_nY} M_nX, and the coface corner is
+    X_n -> Y_n x_{Y_{n-1}} X_{n-1} with legs q_n and d_j."""
+    if j is None:
+        return relative_matching(q, n).map
+    x, y = q.source, q.target
+    span = pullback(y.face(n, j), q.level(n - 1))
+    return pullback_mediator(span, q.level(n), x.face(n, j))
 
 
 def generator_rlp(
@@ -245,34 +272,25 @@ def generator_rlp(
     order ``generators`` lists them: whether f box i has the universal RLP
     against q, the question ``has_universal_rlp(f box i, q)`` answers.
 
-    Decided through the cotensor corner c: X^L -> Y^L x_{Y^K} X^K of q
-    along i (Hovey 4.2.2): f box i lifts against q iff f lifts against c,
-    which ``rlp_against_disk`` or ``rlp_against_sphere_disk`` decides.
-    Each corner is built once per i and each cotensor once per shape, so
-    no box and no square system is built.  ``cap`` bounds every matrix of
-    the closed forms; a larger one raises ResourceCapError.
+    f box i lifts against q iff f lifts against the corner map of q along
+    i (Hovey 4.2.2), which ``rlp_against_disk`` or
+    ``rlp_against_sphere_disk`` decides; both see the corner only up to
+    isomorphism.  ``corner_map`` reads it off the levels and matching
+    objects (Yoneda, X^{Delta^n} = X_n), once per simplicial part, so no
+    box, square system or cotensor is built.  The simplices must lie
+    within the truncation, where that identification holds.  ``cap`` bounds
+    every matrix of the closed forms; a larger one raises ResourceCapError.
     """
-    from .classify import cotensor_map
-
-    cotensors = {}
+    N = q.source.N
     corners = {}
-
-    def cotensors_at(k: ss.SSet):
-        if k not in cotensors:
-            cotensors[k] = (so.cotensor0(q.source, k), so.cotensor0(q.target, k))
-        return cotensors[k]
-
-    def corner(part: str, i: ss.SSetMap) -> ChainMap:
-        if part not in corners:
-            xk, yk = cotensors_at(i.source)
-            xl, yl = cotensors_at(i.target)
-            corners[part] = cotensor_map(q, i, xl, xk, yl, yk).map
-        return corners[part]
-
     out = []
     for family in families:
-        members = _members(family, q.source.N, window, n_range)
+        members = _members(family, window, n_range)
+        if n_range[1] > N:
+            raise ValueError(f"simplex range {tuple(n_range)} exceeds the truncation N={N}")
         decide = _CHAIN_PARTS[family][2]
-        for label, m, part, i in members:
-            out.append((label, decide(corner(part, i), m, cap)))
+        for label, m, part, n, j in members:
+            if part not in corners:
+                corners[part] = corner_map(q, n, j)
+            out.append((label, decide(corners[part], m, cap)))
     return out

@@ -520,33 +520,17 @@ def yoneda_projection(x: SimplicialObject, n: int, ct: Cotensor | None = None) -
     return cotensor_component(ct, n, ident)
 
 
-def cotensor_restrict(
-    x: SimplicialObject,
-    i: ss.SSetMap,
-    ct_big: Cotensor | None = None,
-    ct_small: Cotensor | None = None,
-) -> ChainMap:
-    """Restriction X^L -> X^K along a simplicial map i: K -> L."""
-    if ct_big is None:
-        ct_big = cotensor0(x, i.target)
-    if ct_small is None:
-        ct_small = cotensor0(x, i.source)
+def cotensor_restrict(i: ss.SSetMap, ct_big: Cotensor, ct_small: Cotensor) -> ChainMap:
+    """Restriction X^L -> X^K along a simplicial map i: K -> L, between the
+    cotensors X^L and X^K."""
     index = {c: j for j, c in enumerate(ct_big.components)}
     picked = [index[(n, i.apply(n, idx))] for (n, idx) in ct_small.components]
     return factor_through_mono(ct_small.incl, _components_of(ct_big, picked, ct_small.amb))
 
 
-def cotensor_apply(
-    f: SimplicialMap,
-    k: ss.SSet,
-    ct_x: Cotensor | None = None,
-    ct_y: Cotensor | None = None,
-) -> ChainMap:
-    """Induced map X^K -> Y^K for a simplicial map f: X -> Y."""
-    if ct_x is None:
-        ct_x = cotensor0(f.source, k)
-    if ct_y is None:
-        ct_y = cotensor0(f.target, k)
+def cotensor_apply(f: SimplicialMap, ct_x: Cotensor, ct_y: Cotensor) -> ChainMap:
+    """Induced map X^K -> Y^K for a simplicial map f: X -> Y, between the
+    cotensors X^K and Y^K."""
     blocks = {}
     for t in ct_x.obj.degrees():
         ft = block_diag(f.p, [f.level(n).block(t) for n, _ in ct_x.components])
@@ -648,17 +632,6 @@ def pullback_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
     left = SimplicialMap(obj, xb, tuple(r.left for r in res))
     right = SimplicialMap(obj, yc, tuple(r.right for r in res))
     return SobjSpan(obj, left, right, tuple(res))
-
-
-def fiber(f: SimplicialMap) -> SimplicialObject:
-    """The levelwise kernel F_n = ker f_n, with the operators of the source
-    restricted to it."""
-    kers = [kernel_complex(f.level(n)) for n in range(f.source.N + 1)]
-
-    def op(n: int, m: int, i: int) -> ChainMap:
-        return factor_through_mono(kers[m][1], f.source.operator(n, m, i) @ kers[n][1])
-
-    return SimplicialObject(f.source.N, tuple(k for k, _ in kers), *ss.operator_tables(f.source.N, op))
 
 
 def direct_sum_sobj(parts: list[SimplicialObject]):

@@ -17,12 +17,13 @@ it holds when the top normalized level vanishes on both ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import ChainComplex, ChainMap, quasi_iso_witness, zero_complex
 from .errors import ValidationFailure
-from .linalg import FpMatrix, hstack
+from .linalg import FpMatrix
 from .sobj import SimplicialMap, SimplicialObject, degeneracy_quotient
 
 MODES = ("full", "normalized")
@@ -30,12 +31,27 @@ MODES = ("full", "normalized")
 
 @dataclass(frozen=True)
 class TotalComplex:
-    obj: ChainComplex
+    """The levels and the d' of a total; the assembled complex ``obj`` and
+    its ``layout`` are built on first read, since Moore's criterion reads
+    only the levels."""
+
     mode: str
     levels: tuple[ChainComplex, ...]
     dprimes: tuple  # dprimes[s-1] : levels[s] -> levels[s-1]
-    layout: dict  # n -> tuple of (s, t, dim, offset)
     witnesses: tuple  # per level: () for full, (proj, sects) for normalized
+
+    @cached_property
+    def _assembled(self):
+        return _assemble(self.levels, self.dprimes, self.levels[0].p)
+
+    @property
+    def obj(self) -> ChainComplex:
+        return self._assembled[0]
+
+    @property
+    def layout(self) -> dict:
+        """Total degree n -> the (s, t, dim, offset) of each level block."""
+        return self._assembled[1]
 
 
 def _alternating_face_sum(x: SimplicialObject, s: int) -> ChainMap:
@@ -104,23 +120,7 @@ def total_complex(x: SimplicialObject, mode: str = "normalized") -> TotalComplex
             blocks = {t: proj_lo.block(t) @ alt.block(t) @ sects[t] for t in x.level(s).degrees()}
             dprimes.append(ChainMap.build(levels[s], levels[s - 1], blocks))
         dprimes = tuple(dprimes)
-    obj, layout = _assemble(levels, dprimes, x.p)
-    return TotalComplex(obj, mode, tuple(levels), dprimes, layout, wits)
-
-
-def is_skeletal(x: SimplicialObject) -> bool:
-    """True when the top level is spanned by degeneracies, so truncation
-    lost nothing of the normalized total.  Ranks the degeneracy span
-    directly; ``realization_we`` reads the same fact off the top normalized
-    level instead."""
-    if x.N == 0:
-        return True
-    lvl = x.level(x.N)
-    for t in lvl.degrees():
-        span = hstack([x.degen(x.N - 1, i).block(t) for i in range(x.N)])
-        if span.rank() < lvl.dim(t):
-            return False
-    return True
+    return TotalComplex(mode, tuple(levels), dprimes, wits)
 
 
 def level_maps(f: SimplicialMap, tx: TotalComplex, ty: TotalComplex) -> list[ChainMap]:

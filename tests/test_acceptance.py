@@ -14,7 +14,7 @@ import reedychain.sobj as so
 import reedychain.ssets as ss
 import reedychain.totals as tt
 from reedychain.linalg import FpMatrix
-from test_realize_oracle import coend
+from test_realize_oracle import coend, is_skeletal
 
 P = 101
 DIM_BOUND = 8
@@ -192,7 +192,7 @@ def test_a10_realization_homology_equals_normalized_total():
         rng = sm.rng_for(f"acceptance:skeletal:{P}:{s}")
         N = 2 if s % 2 == 0 else 3
         y = sm.random_skeletal_sobj(P, N, rng)
-        assert tt.is_skeletal(y), s
+        assert is_skeletal(y), s
         r = coend(y).obj
         t = rz.realize(y).obj
         assert ch.homology_dims(r) == ch.homology_dims(t), s

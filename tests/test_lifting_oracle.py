@@ -1,13 +1,22 @@
-"""Differential tests of lifting through the cotensor corner against the
-square-system decision on boxed generators.
+"""Differential tests of lifting through the corner maps against the
+square-system decision on boxed generators and against the cotensor
+corners.
 
 ``lifting.generator_rlp`` decides whether f box i has the universal RLP
 against q from the corner map of q along i and a closed form in the chain
-generator f.  The reference is the path it replaced: build the box with
-``classify.pushout_product`` and decide with ``lifting.has_universal_rlp``,
-which solves for the span of commuting squares and the image of the hom
-space.  The J check's report is compared whole against the report that
-path gave, with the equifibered verdict read from ``classify``.
+generator f.  The first reference is the path the corners replaced:
+build the box with ``classify.pushout_product`` and decide with
+``lifting.has_universal_rlp``, which solves for the span of commuting
+squares and the image of the hom space.  The J check's report is compared
+whole against the report that path gave, with the equifibered verdict read
+from ``classify``.
+
+The second reference is the corner as a general limit, the cotensor corner
+X^L -> Y^L x_{Y^K} X^K built from ``sobj.cotensor0``.  The library reads
+the same corner, up to isomorphism, off the levels and matching objects
+(``lifting.corner_map``); the tests compare the verdicts and cap refusals
+of both, and exhibit the isomorphism of each coface corner through the
+Yoneda projections.
 """
 
 import pytest
@@ -18,6 +27,7 @@ from reedychain import harness as hn
 from reedychain import lifting as lf
 from reedychain import sampling as sm
 from reedychain import sobj as so
+from reedychain import ssets as ss
 from reedychain.errors import ResourceCapError
 
 P = 101
@@ -63,6 +73,50 @@ def reference_report(pm, families, window, n_range, members) -> dict:
         "violations": violations,
         "status": "violation" if violations else "ok",
     }
+
+
+# closed form deciding a corner against each family's chain generator
+CLOSED_FORMS = {
+    "I": lf.rlp_against_sphere_disk,
+    "J'": lf.rlp_against_disk,
+    "J''": lf.rlp_against_sphere_disk,
+}
+
+
+def simplicial_part(N: int, n: int, j: int | None) -> ss.SSetMap:
+    """The boundary inclusion of the n-simplex (j None) or the coface d^j."""
+    if j is None:
+        return ss.boundary_inclusion(N, n)
+    return ss.delta_map(N, ss.operator_tuple(n, n - 1, j), n)
+
+
+def cotensor_generator_rlp(q, families, window, n_range, cap=None) -> list:
+    """generator_rlp through the cotensor corner c: X^L -> Y^L x_{Y^K} X^K
+    of q along each simplicial part i: K -> L, each cotensor built once per
+    shape and each corner once per part."""
+    cotensors = {}
+    corners = {}
+
+    def cotensors_at(k: ss.SSet):
+        if k not in cotensors:
+            cotensors[k] = (so.cotensor0(q.source, k), so.cotensor0(q.target, k))
+        return cotensors[k]
+
+    def corner(part: str, i: ss.SSetMap) -> ch.ChainMap:
+        if part not in corners:
+            xk, yk = cotensors_at(i.source)
+            xl, yl = cotensors_at(i.target)
+            span = ch.pullback(so.cotensor_restrict(i, yl, yk), so.cotensor_apply(q, xk, yk))
+            al, rx = so.cotensor_apply(q, xl, yl), so.cotensor_restrict(i, xl, xk)
+            corners[part] = ch.pullback_mediator(span, al, rx)
+        return corners[part]
+
+    out = []
+    for family in families:
+        for label, m, part, n, j in lf._members(family, window, n_range):
+            c = corner(part, simplicial_part(q.source.N, n, j))
+            out.append((label, CLOSED_FORMS[family](c, m, cap)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +244,104 @@ def test_generator_rlp_refuses_what_generators_refuses():
             lf.generators(family, P, N, window, n_range)
         with pytest.raises(ValueError):
             lf.generator_rlp(q, [family], window, n_range)
+
+
+# ---------------------------------------------------------------------------
+# corners read off the levels against the cotensor corners
+
+
+def corner_maps(N: int) -> list:
+    """Two bounded draws of three kinds and four random_small_map draws at
+    truncation N, p = 101."""
+    out = []
+    for kind in ("reedy_fibration", "trivial_fibration", "equifibered_fibration"):
+        for seed in range(2):
+            try:
+                out.append(sm.draw(kind, P, N, seed=seed, cap=CAP))
+            except ResourceCapError:
+                continue
+    for s in range(4):
+        out.append(sm.random_small_map(P, N, sm.rng_for(f"corner-oracle:{N}:{s}")))
+    return out
+
+
+def rlp_outcome(decide, q, cap):
+    try:
+        return decide(q, lf.FAMILIES, (-2, 4), (0, q.source.N), cap)
+    except ResourceCapError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("N", (1, 2, 3))
+def test_level_corners_match_cotensor_corners(N):
+    """I, J' and J'' over degrees -2..4 and every simplex up to N: the
+    verdicts from the level corners equal the cotensor corners' verdicts,
+    and under a small cap the refusal messages are the same strings."""
+    outcomes = []
+    for q in corner_maps(N):
+        for cap in (None, 6):
+            got = rlp_outcome(lf.generator_rlp, q, cap)
+            assert got == rlp_outcome(cotensor_generator_rlp, q, cap)
+            outcomes.append(got)
+    verdicts = [ok for got in outcomes if isinstance(got, list) for _, ok in got]
+    assert any(isinstance(got, str) for got in outcomes)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("N", (1, 2, 3))
+def test_coface_corner_is_isomorphic_to_cotensor_corner(N):
+    """For each coface d^j into the n-simplex, the Yoneda projections carry
+    the cotensor corner X^{Delta^n} -> Y^{Delta^n} x X^{Delta^{n-1}} onto
+    the level corner X_n -> Y_n x_{Y_{n-1}} X_{n-1}: the mediator theta of
+    the projected legs is an isomorphism with theta c = c' phi.  Each
+    boundary corner is the relative matching map, which
+    ``matching_cotensor_comparison`` identifies with its cotensor corner."""
+    for q in corner_maps(N)[:3]:
+        x, y = q.source, q.target
+        for n in range(N + 1):
+            assert lf.corner_map(q, n) == cl.relative_matching(q, n).map
+            assert cl.matching_cotensor_comparison(q, n)
+        for n in range(1, N + 1):
+            for j in range(n + 1):
+                sq = cl.cotensor_map(q, simplicial_part(N, n, j))
+                level = lf.corner_map(q, n, j)
+                span = ch.pullback(y.face(n, j), q.level(n - 1))
+                phi_x = so.yoneda_projection(x, n, sq.xl)
+                phi_y = so.yoneda_projection(y, n, sq.yl)
+                phi_xk = so.yoneda_projection(x, n - 1, sq.xk)
+                assert ch.is_iso(phi_x) and ch.is_iso(phi_y) and ch.is_iso(phi_xk)
+                theta = ch.pullback_mediator(
+                    span, phi_y @ sq.span.left, phi_xk @ sq.span.right
+                )
+                assert ch.is_iso(theta), (n, j)
+                assert theta @ sq.map == level @ phi_x, (n, j)
+
+
+def test_generator_rlp_builds_no_cotensor_and_no_simplicial_part(monkeypatch):
+    """The corners come from levels and matching objects alone: no
+    ``cotensor0`` call, and no boundary inclusion or coface map is built."""
+    q = corner_maps(2)[0]
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for mod, name in ((so, "cotensor0"), (ss, "boundary_inclusion"), (ss, "delta_map")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    got = lf.generator_rlp(q, lf.FAMILIES, WINDOW, N_RANGE)
+    assert calls == []
+    assert got == cotensor_generator_rlp(q, lf.FAMILIES, WINDOW, N_RANGE)
+    assert "cotensor0" in calls
+
+
+def test_generator_rlp_refuses_simplices_beyond_the_truncation():
+    """X^{Delta^n} is the level X_n only for n <= N: a range past the
+    truncation is refused."""
+    q = so.identity_smap(so.constant(N, ch.sphere(P, 0)))
+    with pytest.raises(ValueError, match="exceeds the truncation"):
+        lf.generator_rlp(q, ["J'"], (0, 1), (0, N + 1))
+    assert lf.generator_rlp(q, ["J'"], (0, 1), (0, N))

@@ -13,6 +13,7 @@ from reedychain import realize as rz
 from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
+from test_realize_oracle import is_skeletal
 
 P = 7
 
@@ -63,7 +64,7 @@ def test_sing_level_zero_is_target():
 
 def test_sing_is_never_skeletal():
     x = rz.sing(ch.sphere(P, 0), 2)
-    assert not tt.is_skeletal(x)
+    assert not is_skeletal(x)
 
 
 def test_sing_total_recovers_homology():

