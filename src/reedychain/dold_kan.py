@@ -20,7 +20,7 @@ from . import ssets as ss
 from .chain import ChainComplex, ChainMap, direct_sum_with_maps
 from .errors import FieldMismatchError, ValidationFailure
 from .linalg import FpMatrix
-from .sobj import SimplicialObject, _epi_mono_factor, _epis
+from .sobj import SimplicialObject
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,19 @@ class DoldKan:
     parts: tuple[ChainComplex, ...]
     deltas: tuple[ChainMap, ...]
     top_inclusions: tuple[ChainMap, ...]  # M_n into level n at the identity epi
+
+
+def _epis(n: int, j: int):
+    full = set(range(j + 1))
+    return [a for a in ss.monotone_maps(n, j) if set(a) == full]
+
+
+def _epi_mono_factor(sigma: tuple[int, ...]):
+    """sigma = delta . pi with delta the sorted image and pi position map."""
+    delta_t = tuple(sorted(set(sigma)))
+    place = {v: i for i, v in enumerate(delta_t)}
+    pi = tuple(place[v] for v in sigma)
+    return delta_t, pi
 
 
 def _level_epis(n: int):

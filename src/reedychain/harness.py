@@ -104,6 +104,25 @@ def check_sm7(f: so.SimplicialMap, i: ss.SSetMap, structure: str) -> dict:
     }
 
 
+def _suite(check: str, p: int, N: int, samples: int, seed: int, trial, extra=None) -> dict:
+    """The report of ``trial(s)`` run at the seeds seed, ..., seed + samples - 1
+    in order: each trial returns a row holding its ``violations``, and
+    ``extra(rows)`` gives the suite's own fields."""
+    rows = [trial(s) for s in range(seed, seed + samples)]
+    violations = [v for r in rows for v in r["violations"]]
+    return {
+        "check": check,
+        "p": p,
+        "N": N,
+        "samples": samples,
+        "seed": seed,
+        "trials": len(rows),
+        "violations": violations,
+        "status": _status(violations),
+        **(extra(rows) if extra else {}),
+    }
+
+
 def check_sm7_suite(
     p: int,
     N: int,
@@ -125,29 +144,15 @@ def check_sm7_suite(
         return {
             "seed": s,
             "i": label,
-            "violations": rep["violations"],
+            "violations": [{"seed": s, "i": label, **v} for v in rep["violations"]],
             "expected_failure": rep["expected_failure"],
         }
 
-    rows = [trial(s) for s in range(seed, seed + samples)]
-    violations = [
-        {"seed": r["seed"], "i": r["i"], **v} for r in rows for v in r["violations"]
-    ]
-    expected = [
-        {"seed": r["seed"], "i": r["i"]} for r in rows if r["expected_failure"]
-    ]
-    return {
-        "check": "sm7",
-        "structure": structure,
-        "p": p,
-        "N": N,
-        "samples": samples,
-        "seed": seed,
-        "trials": len(rows),
-        "violations": violations,
-        "expected_failures": expected,
-        "status": _status(violations),
-    }
+    def extra(rows):
+        expected = [{"seed": r["seed"], "i": r["i"]} for r in rows if r["expected_failure"]]
+        return {"structure": structure, "expected_failures": expected}
+
+    return _suite("sm7", p, N, samples, seed, trial, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -170,30 +175,17 @@ def check_realization_axiom(
             f = sm.sample_equifibered(p, N, rng, cap)
         c = classifier(f, check_invariant=False)
         if not (c.equifibered and c.realization_we and c.realization_exact):
-            return {"seed": s, "scope": "skipped"}
+            return {"in_scope": False, "violations": []}
         if c.level_we:
-            return {"seed": s, "scope": "in"}
-        return {
-            "seed": s,
-            "scope": "in",
-            "violation": {"seed": s, "witness": _jsonable(c.witnesses.get("level_we"))},
-        }
+            return {"in_scope": True, "violations": []}
+        witness = _jsonable(c.witnesses.get("level_we"))
+        return {"in_scope": True, "violations": [{"seed": s, "witness": witness}]}
 
-    rows = [trial(s) for s in range(seed, seed + samples)]
-    violations = [r["violation"] for r in rows if "violation" in r]
-    in_scope = sum(1 for r in rows if r["scope"] == "in")
-    return {
-        "check": "realization-axiom",
-        "p": p,
-        "N": N,
-        "samples": samples,
-        "seed": seed,
-        "trials": len(rows),
-        "in_scope": in_scope,
-        "skipped": len(rows) - in_scope,
-        "violations": violations,
-        "status": _status(violations),
-    }
+    def extra(rows):
+        in_scope = sum(r["in_scope"] for r in rows)
+        return {"in_scope": in_scope, "skipped": len(rows) - in_scope}
+
+    return _suite("realization-axiom", p, N, samples, seed, trial, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +205,9 @@ def check_lem_match(
         rng = sm.rng_for(f"lem-match:{p}:{N}:{s}")
         f = sm.random_small_map(p, N, rng)
         bad = [n for n in range(nm + 1) if not cl.matching_cotensor_comparison(f, n)]
-        return {"seed": s, "bad": bad}
+        return {"violations": [{"seed": s, "n": n} for n in bad]}
 
-    rows = [trial(s) for s in range(seed, seed + samples)]
-    violations = [{"seed": r["seed"], "n": n} for r in rows for n in r["bad"]]
-    return {
-        "check": "lem-match",
-        "p": p,
-        "N": N,
-        "samples": samples,
-        "seed": seed,
-        "n_max": nm,
-        "trials": len(rows),
-        "violations": violations,
-        "status": _status(violations),
-    }
+    return _suite("lem-match", p, N, samples, seed, trial, lambda rows: {"n_max": nm})
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +237,9 @@ def check_prop_proof(
         trivial_fib = cl.level_we_witness(g) is None and cl.reedy_fib_witness(g) is None
         if trivial_fib and not (ch.is_epi(sq.map) and ch.is_quasi_iso(sq.map)):
             out.append({"seed": s, "i": label, "clause": "trivial"})
-        return {"seed": s, "violations": out}
+        return {"violations": out}
 
-    rows = [trial(s) for s in range(seed, seed + samples)]
-    violations = [v for r in rows for v in r["violations"]]
-    return {
-        "check": "prop-proof",
-        "p": p,
-        "N": N,
-        "samples": samples,
-        "seed": seed,
-        "trials": len(rows),
-        "violations": violations,
-        "status": _status(violations),
-    }
+    return _suite("prop-proof", p, N, samples, seed, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +263,9 @@ def check_prop_i_cof(
             out.append({"seed": s, "clause": "equifibered", "witness": _jsonable(c.witnesses.get("equifibered"))})
         if c.reedy_trivial_fib and not c.realization_we:
             out.append({"seed": s, "clause": "realization", "witness": _jsonable(c.witnesses.get("realization_we"))})
-        return {"seed": s, "violations": out}
+        return {"violations": out}
 
-    rows = [trial(s) for s in range(seed, seed + samples)]
-    violations = [v for r in rows for v in r["violations"]]
-    return {
-        "check": "prop-i-cof",
-        "p": p,
-        "N": N,
-        "samples": samples,
-        "seed": seed,
-        "trials": len(rows),
-        "violations": violations,
-        "status": _status(violations),
-    }
+    return _suite("prop-i-cof", p, N, samples, seed, trial)
 
 
 # ---------------------------------------------------------------------------

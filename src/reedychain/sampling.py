@@ -104,9 +104,10 @@ def random_epi(p: int, rng, acyclic_fiber: bool) -> ch.ChainMap:
 # object samplers
 
 
-def random_sset(N: int, rng) -> ss.SSet:
+def random_sset(N: int, rng, _delta_max: int = 2) -> ss.SSet:
+    """A standard simplex up to dimension ``_delta_max``, a boundary or a horn."""
     n_max = min(2, N)
-    options = [("delta", n) for n in range(n_max + 1)]
+    options = [("delta", n) for n in range(min(n_max, _delta_max) + 1)]
     options += [("boundary", n) for n in range(1, n_max + 1)]
     options += [("horn", n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
     choice = _pick(rng, options)
@@ -168,17 +169,7 @@ def random_skeletal_sobj(p: int, N: int, rng) -> so.SimplicialObject:
         return so.constant(N, random_complex(p, rng))
     if style == "tensor":
         # any shape with no nondegenerate top cells works
-        n_max = min(2, N)
-        options = [("delta", n) for n in range(min(n_max, N - 1) + 1)]
-        options += [("boundary", n) for n in range(1, n_max + 1)]
-        options += [("horn", n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
-        choice = _pick(rng, options)
-        if choice[0] == "delta":
-            k = ss.delta(N, choice[1])
-        elif choice[0] == "boundary":
-            k = ss.boundary_inclusion(N, choice[1]).source
-        else:
-            k = ss.horn_inclusion(N, choice[1], choice[2]).source
+        k = random_sset(N, rng, N - 1)
         return so.tensor_with_sset(random_complex(p, rng, pieces=(1, 1)), k)
     if N < 2:
         return so.constant(N, random_complex(p, rng))

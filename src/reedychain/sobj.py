@@ -1,13 +1,13 @@
 """Truncated simplicial objects in chain complexes.
 
 A simplicial object has chain complexes X_0..X_N and face/degeneracy chain
-maps subject to the simplicial identities.  Matching objects are computed
-as honest limits: the kernel of the relation map assembled over the
-elementary generating morphisms of the index category.  Relations for
-composite morphisms follow from the generating ones, so the presentation
-below computes the same object the full diagram would.  Latching objects
-are the degeneracy spans D_nX inside X_n, which is what the colimit is
-once the latching map is known to be injective (Dold-Kan splitting).
+maps subject to the simplicial identities.  The matching object M_nX, the
+limit over the boundary of the n-simplex, is the equalizer of its n + 1
+codimension-one faces: families (x_0, ..., x_n) in X_{n-1} with
+d_i x_j = d_{j-1} x_i for i < j, one condition per codimension-two face.
+Latching objects are the degeneracy spans D_nX inside X_n, which is what
+the colimit is once the latching map is known to be injective (Dold-Kan
+splitting).
 """
 
 from __future__ import annotations
@@ -319,15 +319,6 @@ def factor_through_mono(incl: ChainMap, u: ChainMap) -> ChainMap:
     return ChainMap.build(u.source, incl.source, blocks)
 
 
-def _epis(n: int, j: int):
-    full = set(range(j + 1))
-    return [a for a in ss.monotone_maps(n, j) if set(a) == full]
-
-
-def _monos(j: int, n: int):
-    return [a for a in ss.monotone_maps(j, n) if len(set(a)) == j + 1]
-
-
 @dataclass(frozen=True)
 class Latching:
     """The latching object L_nX as the degeneracy span D_nX inside X_n.
@@ -361,44 +352,44 @@ def latching(x: SimplicialObject, n: int) -> Latching:
 
 @dataclass(frozen=True)
 class Matching:
-    """Limit of X over the proper faces of [n], with the comparison map
-    from X_n and the presentation witnesses."""
+    """The matching object M_nX, the limit of X over the boundary of the
+    n-simplex, as an equalizer over its n + 1 codimension-one faces, with
+    the comparison map from X_n and the presentation witnesses: ``amb``
+    sums n + 1 copies of X_{n-1}, and copy c, with projection ``projs[c]``,
+    holds the face missing vertex n - c."""
 
     obj: ChainComplex
     from_level: ChainMap
-    objects: tuple[tuple[int, ...], ...]
     amb: ChainComplex
     incl: ChainMap
     projs: tuple[ChainMap, ...]
 
 
 def matching(x: SimplicialObject, n: int) -> Matching:
+    """M_nX as the families (x_0, ..., x_n) in X_{n-1} with
+    d_i x_j = d_{j-1} x_i for i < j, one condition per codimension-two face
+    (Goerss-Jardine VII.1).  X_n maps to the face missing vertex k by d_k.
+
+    A compatible family over all the proper faces of [n] is fixed by its
+    codimension-one values, so when those faces come last its last nonzero
+    coordinate lies among them: this kernel basis is that presentation's,
+    restricted to the codimension-one faces."""
     p = x.p
     if n == 0:
         z = zero_complex(p)
-        return Matching(z, zero_map(x.level(0), z), (), z, zero_map(z, z), ())
-    objects = []
-    for j in range(n):
-        objects.extend(_monos(j, n))
-    objects = tuple(objects)
-    amb, _, projs = direct_sum_with_maps([x.level(len(a) - 1) for a in objects])
-    obj_index = {a: i for i, a in enumerate(objects)}
-    conds = []
-    for a in objects:
-        j = len(a) - 1
-        if j == 0:
-            continue
-        for i in range(j + 1):
-            b = a[:i] + a[i + 1 :]
-            conds.append(
-                x.face(j, i) @ projs[obj_index[a]] - projs[obj_index[b]]
-            )
+        return Matching(z, zero_map(x.level(0), z), z, zero_map(z, z), ())
+    amb, _, projs = direct_sum_with_maps([x.level(n - 1)] * (n + 1))
+    conds = [
+        x.face(n - 1, i) @ projs[n - j] - x.face(n - 1, j - 1) @ projs[n - i]
+        for j in range(n + 1)
+        for i in range(j)
+        if n > 1
+    ]
     _, cond_map = _stack_into_sum(conds, amb, p)
     m, incl = kernel_complex(cond_map)
-    components = [structure_map(x, a, n) for a in objects]
-    _, v = _stack_into_sum(components, x.level(n), p)
+    _, v = _stack_into_sum([x.face(n, k) for k in reversed(range(n + 1))], x.level(n), p)
     from_level = factor_through_mono(incl, v)
-    return Matching(m, from_level, objects, amb, incl, tuple(projs))
+    return Matching(m, from_level, amb, incl, tuple(projs))
 
 
 def matching_map_of(
@@ -412,7 +403,7 @@ def matching_map_of(
         return zero_map(mx.obj, my.obj)
     blocks = {}
     for t in mx.amb.degrees():
-        ft = block_diag(f.p, [f.level(len(a) - 1).block(t) for a in mx.objects])
+        ft = block_diag(f.p, [f.level(n - 1).block(t)] * (n + 1))
         blocks[t] = ft @ mx.incl.block(t)
     big = ChainMap.build(mx.obj, my.amb, blocks)
     return factor_through_mono(my.incl, big)
@@ -539,33 +530,25 @@ def cotensor_apply(f: SimplicialMap, ct_x: Cotensor, ct_y: Cotensor) -> ChainMap
     return factor_through_mono(ct_y.incl, big)
 
 
-def _epi_mono_factor(sigma: tuple[int, ...]):
-    """sigma = delta . pi with delta the sorted image and pi position map."""
-    delta_t = tuple(sorted(set(sigma)))
-    place = {v: i for i, v in enumerate(delta_t)}
-    pi = tuple(place[v] for v in sigma)
-    return delta_t, pi
-
-
 def boundary_cotensor_from_matching(
     x: SimplicialObject, n: int, ct: Cotensor | None = None, mt: Matching | None = None
 ) -> ChainMap:
     """The comparison map from the matching object to the cotensor against
     the boundary of the n-simplex: the component at a non-surjective sigma
-    is the degeneracy applied to the face picked out by its image."""
+    is X(alpha) of the codimension-one face missing the least vertex k
+    outside the image of sigma, where sigma = d^k alpha."""
     k = ss.boundary_inclusion(x.N, n).source
     if ct is None:
         ct = cotensor0(x, k)
     if mt is None:
         mt = matching(x, n)
-    obj_index = {a: i for i, a in enumerate(mt.objects)}
+    faces = [pr @ mt.incl for pr in mt.projs]
     pieces = []
     for (m, idx) in ct.components:
         sigma = k.label(m, idx)
-        delta_t, pi = _epi_mono_factor(sigma)
-        j = len(delta_t) - 1
-        comp = mt.projs[obj_index[delta_t]] @ mt.incl
-        pieces.append(structure_map(x, pi, j) @ comp)
+        miss = min(set(range(n + 1)) - set(sigma))
+        alpha = tuple(v - (v > miss) for v in sigma)
+        pieces.append(structure_map(x, alpha, n - 1) @ faces[n - miss])
     _, e = _stack_into_sum(pieces, mt.obj, x.p)
     return factor_through_mono(ct.incl, e)
 

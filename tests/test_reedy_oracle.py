@@ -9,6 +9,13 @@ Y_n x_{M_nY} M_nX.  A map is a Reedy cofibration (fibration) when every
 relative latching (matching) map is injective (surjective); the witness is
 the first failing level and, within it, the lowest failing degree.
 
+The matching object is kept here as the limit over all the proper faces of
+[n], with one condition per face of a face, ordered by dimension so that
+the codimension-one faces come last.  The library takes the equalizer of
+the codimension-one faces alone; since a compatible family is fixed by
+its codimension-one values, both kernels have the same basis there, so
+every map read off the matching objects is compared by equality.
+
 The Moore complex is kept here too: N_nX is the intersection of the
 kernels of the faces d_0, ..., d_{n-1} and d' is (-1)^n d_n restricted to
 it.  Moore's criterion evaluated on it is the reference for the
@@ -31,6 +38,7 @@ import pytest
 
 from reedychain import chain as ch
 from reedychain import classify as cl
+from reedychain import dold_kan as dk
 from reedychain import fixtures as fx
 from reedychain import harness as hn
 from reedychain import sampling as sm
@@ -76,7 +84,7 @@ def colimit_latching(x: so.SimplicialObject, n: int) -> ColimitLatching:
     if n == 0:
         z = ch.zero_complex(p)
         return ColimitLatching(z, ch.zero_map(z, x.level(0)), (), ch.zero_map(z, z), {})
-    objects = tuple(a for j in range(n) for a in so._epis(n, j))
+    objects = tuple(a for j in range(n) for a in dk._epis(n, j))
     amb, incs, _ = ch.direct_sum_with_maps([x.level(len(set(a)) - 1) for a in objects])
     index = {a: i for i, a in enumerate(objects)}
     rels = []
@@ -111,6 +119,82 @@ def relative_latching(f: so.SimplicialMap, n: int) -> ch.ChainMap:
     return ch.pushout_mediator(span, f.level(n), ly.to_level)
 
 
+@dataclass(frozen=True)
+class AllFacesMatching:
+    """Limit of X over the proper faces of [n], with the comparison map
+    from X_n and the presentation witnesses."""
+
+    obj: ch.ChainComplex
+    from_level: ch.ChainMap
+    objects: tuple
+    amb: ch.ChainComplex
+    incl: ch.ChainMap
+    projs: tuple
+
+
+def all_faces_matching(x: so.SimplicialObject, n: int) -> AllFacesMatching:
+    p = x.p
+    if n == 0:
+        z = ch.zero_complex(p)
+        return AllFacesMatching(z, ch.zero_map(x.level(0), z), (), z, ch.zero_map(z, z), ())
+    objects = tuple(
+        a for j in range(n) for a in ss.monotone_maps(j, n) if len(set(a)) == j + 1
+    )
+    amb, _, projs = ch.direct_sum_with_maps([x.level(len(a) - 1) for a in objects])
+    index = {a: i for i, a in enumerate(objects)}
+    conds = []
+    for a in objects:
+        j = len(a) - 1
+        if j == 0:
+            continue
+        for i in range(j + 1):
+            b = a[:i] + a[i + 1 :]
+            conds.append(x.face(j, i) @ projs[index[a]] - projs[index[b]])
+    _, cond_map = so._stack_into_sum(conds, amb, p)
+    m, incl = ch.kernel_complex(cond_map)
+    _, v = so._stack_into_sum([so.structure_map(x, a, n) for a in objects], x.level(n), p)
+    from_level = so.factor_through_mono(incl, v)
+    return AllFacesMatching(m, from_level, objects, amb, incl, tuple(projs))
+
+
+def all_faces_matching_map_of(
+    f: so.SimplicialMap, n: int, mx: AllFacesMatching, my: AllFacesMatching
+) -> ch.ChainMap:
+    if n == 0:
+        return ch.zero_map(mx.obj, my.obj)
+    blocks = {}
+    for t in mx.amb.degrees():
+        ft = block_diag(f.p, [f.level(len(a) - 1).block(t) for a in mx.objects])
+        blocks[t] = ft @ mx.incl.block(t)
+    big = ch.ChainMap.build(mx.obj, my.amb, blocks)
+    return so.factor_through_mono(my.incl, big)
+
+
+def all_faces_relative_matching(f: so.SimplicialMap, n: int):
+    """(map, span, mx, my) of the relative matching map
+    X_n -> Y_n x_{M_nY} M_nX."""
+    mx, my = all_faces_matching(f.source, n), all_faces_matching(f.target, n)
+    span = ch.pullback(my.from_level, all_faces_matching_map_of(f, n, mx, my))
+    return ch.pullback_mediator(span, f.level(n), mx.from_level), span, mx, my
+
+
+def all_faces_boundary_cotensor(
+    x: so.SimplicialObject, n: int, ct: so.Cotensor, mt: AllFacesMatching
+) -> ch.ChainMap:
+    """The comparison map from M_nX into the cotensor ``ct`` against the
+    boundary of the n-simplex: the component at sigma = delta . pi is X(pi)
+    applied to the face delta."""
+    k = ss.boundary_inclusion(x.N, n).source
+    index = {a: i for i, a in enumerate(mt.objects)}
+    pieces = []
+    for m, idx in ct.components:
+        delta_t, pi = dk._epi_mono_factor(k.label(m, idx))
+        comp = mt.projs[index[delta_t]] @ mt.incl
+        pieces.append(so.structure_map(x, pi, len(delta_t) - 1) @ comp)
+    _, e = so._stack_into_sum(pieces, mt.obj, x.p)
+    return so.factor_through_mono(ct.incl, e)
+
+
 def reference_cof_witness(f: so.SimplicialMap):
     for n in range(f.source.N + 1):
         t = ch.mono_witness(relative_latching(f, n))
@@ -121,7 +205,7 @@ def reference_cof_witness(f: so.SimplicialMap):
 
 def reference_fib_witness(f: so.SimplicialMap):
     for n in range(f.source.N + 1):
-        t = ch.epi_witness(cl.relative_matching(f, n).map)
+        t = ch.epi_witness(all_faces_relative_matching(f, n)[0])
         if t is not None:
             return (n, t)
     return None
@@ -425,3 +509,52 @@ def test_latching_map_of_constant_map():
     assert lf.source.total_dim() == f.source.total_dim()
     assert ch.is_mono(lf)
     assert cl.reedy_cof_witness(sf) is None
+
+
+# ---------------------------------------------------------------------------
+# matching objects
+
+
+@lru_cache(maxsize=None)
+def matching_maps(p: int, N: int) -> tuple:
+    """Per map kind, the first draws at seeds 0-7 that pass the cap and keep
+    every level within 40 dimensions, where the boundary cotensors stay
+    cheap: two up to N = 3 and one at N = 4.  Then as many random small
+    maps as there are draws."""
+    per_kind = 2 if N < 4 else 1
+    out = []
+    for kind in MAP_KINDS:
+        found = []
+        for seed in range(8):
+            try:
+                f = sm.draw(kind, p, N, seed, cap=512)
+            except ResourceCapError:
+                continue
+            if max(x.level(n).total_dim() for x in (f.source, f.target) for n in range(N + 1)) <= 40:
+                found.append(f)
+            if len(found) == per_kind:
+                break
+        assert len(found) == per_kind, kind
+        out += found
+    rng = sm.rng_for(f"matching:{p}:{N}")
+    return tuple(out + [sm.random_small_map(p, N, rng) for _ in out])
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 4))
+@pytest.mark.parametrize("p", (2, 3, 101))
+def test_equalizer_matching_equals_all_faces_limit(p, N):
+    """M_nX, its map from X_n, the induced map of matching objects, the
+    relative matching map with its span legs and the comparison into the
+    boundary cotensor are equal, not merely isomorphic, to the all-faces
+    presentation's, for n = 0..N."""
+    for f in matching_maps(p, N):
+        for n in range(N + 1):
+            rel = cl.relative_matching(f, n)
+            want, span, mx, my = all_faces_relative_matching(f, n)
+            for got, ref in ((rel.mx, mx), (rel.my, my)):
+                assert (got.obj, got.from_level) == (ref.obj, ref.from_level), n
+            assert so.matching_map_of(f, n, rel.mx, rel.my) == all_faces_matching_map_of(f, n, mx, my)
+            assert (rel.map, rel.span.left, rel.span.right) == (want, span.left, span.right), n
+            ct = so.cotensor0(f.source, ss.boundary_inclusion(N, n).source)
+            got = so.boundary_cotensor_from_matching(f.source, n, ct, rel.mx)
+            assert got == all_faces_boundary_cotensor(f.source, n, ct, mx), n
