@@ -244,17 +244,10 @@ def disk_from_zero(p: int, n: int) -> ChainMap:
 # homology
 
 
-def cycle_dim(x: ChainComplex, t: int) -> int:
-    return x.dim(t) - x.d(t).rank()
-
-
 def homology_dims(x: ChainComplex) -> dict[int, int]:
-    out = {}
-    for t in x.degrees():
-        h = cycle_dim(x, t) - x.d(t + 1).rank()
-        if h:
-            out[t] = h
-    return out
+    ranks = [0] + [d.rank() for d in x.diffs] + [0]  # each differential ranked once
+    h = {t: x.dims[k] - ranks[k] - ranks[k + 1] for k, t in enumerate(x.degrees())}
+    return {t: v for t, v in h.items() if v}
 
 
 def is_acyclic(x: ChainComplex) -> bool:
@@ -334,7 +327,8 @@ def epi_witness(f: ChainMap) -> int | None:
 
 
 def is_iso(f: ChainMap) -> bool:
-    return is_mono(f) and is_epi(f)
+    degs = sorted(set(f.source.degrees()) | set(f.target.degrees()))
+    return all(f.source.dim(t) == f.target.dim(t) == f.block(t).rank() for t in degs)
 
 
 def invert_map(f: ChainMap) -> ChainMap:

@@ -279,12 +279,7 @@ def pushout_product(f: ChainMap | SimplicialMap, i: ss.SSetMap) -> SimplicialMap
     A plain chain map is promoted to its constant simplicial map first."""
     if isinstance(f, ChainMap):
         f = so.constant_map(i.source.N, f)
-    xi = so.tensor_sobj_sset_map(f.source, i)
-    fk = so.tensor_smap_with_sset(f, i.source)
-    span = so.pushout_sobj(xi, fk)
-    fl = so.tensor_smap_with_sset(f, i.target)
-    yi = so.tensor_sobj_sset_map(f.target, i)
-    return so.pushout_sobj_mediator(span, fl, yi)
+    return so.box_map(f, i)
 
 
 @dataclass(frozen=True)

@@ -192,22 +192,14 @@ def check_realization_axiom(
 # matching maps against the boundary cotensor
 
 
-def check_lem_match(
-    p: int,
-    N: int,
-    samples: int,
-    seed: int,
-    n_max: int | None = None,
-) -> dict:
-    nm = N if n_max is None else min(n_max, N)
-
+def check_lem_match(p: int, N: int, samples: int, seed: int) -> dict:
     def trial(s):
         rng = sm.rng_for(f"lem-match:{p}:{N}:{s}")
         f = sm.random_small_map(p, N, rng)
-        bad = [n for n in range(nm + 1) if not cl.matching_cotensor_comparison(f, n)]
+        bad = [n for n in range(N + 1) if not cl.matching_cotensor_comparison(f, n)]
         return {"violations": [{"seed": s, "n": n} for n in bad]}
 
-    return _suite("lem-match", p, N, samples, seed, trial, lambda rows: {"n_max": nm})
+    return _suite("lem-match", p, N, samples, seed, trial, lambda rows: {"n_max": N})
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class FpMatrix:
         self._check_p(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return FpMatrix(self.p, (self.a @ other.a) % self.p)
+        return FpMatrix(self.p, self.a @ other.a)
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._check_p(other)

@@ -62,13 +62,14 @@ class SimplicialObject:
         return self.levels[n]
 
     def face(self, n: int, i: int) -> ChainMap:
-        return self.faces[n - 1][i]
+        return self.operator(n, n - 1, i)
 
     def degen(self, n: int, i: int) -> ChainMap:
-        return self.degens[n][i]
+        return self.operator(n, n + 1, i)
 
     def operator(self, n: int, m: int, i: int) -> ChainMap:
         """The operator from level n to level m: d_i or s_i."""
+        ss.check_operator(self.N, n, m, i)
         return self.faces[n - 1][i] if m < n else self.degens[n][i]
 
     def __eq__(self, other):
@@ -191,11 +192,12 @@ def validate_smap(f: SimplicialMap):
 
 def _route(p: int, table, card_tgt: int, block: FpMatrix) -> FpMatrix:
     """Block matrix from len(table) copies to card_tgt copies that holds
-    ``block`` at copy (table[j], j) and zero elsewhere."""
+    ``block`` at copy (table[j], j) and zero elsewhere.  A copy with
+    table[j] = -1 goes nowhere: it lands in a spare last copy, cut off."""
     r, c = block.shape
-    out = np.zeros((card_tgt, r, len(table), c), dtype=np.int64)
+    out = np.zeros((card_tgt + 1, r, len(table), c), dtype=np.int64)
     out[np.asarray(table, dtype=np.intp), :, np.arange(len(table)), :] = block.a
-    return FpMatrix(p, out.reshape(card_tgt * r, len(table) * c))
+    return FpMatrix(p, out[:card_tgt].reshape(card_tgt * r, len(table) * c))
 
 
 def _copies_complex(a: ChainComplex, count: int) -> ChainComplex:
@@ -256,6 +258,54 @@ def tensor_sobj_sset_map(x: SimplicialObject, g: ss.SSetMap) -> SimplicialMap:
         }
         lv.append(ChainMap.build(src.level(n), tgt.level(n), blocks))
     return SimplicialMap(src, tgt, tuple(lv))
+
+
+def box_map(f: SimplicialMap, i: ss.SSetMap) -> SimplicialMap:
+    """f boxed with an injective i: K -> L, by routing copies.  Level n of the
+    source is the copies of X_n over L_n minus i(K_n), then those of Y_n over
+    K_n (Hovey, Model Categories, 4.2): the cokernel basis of the pushout of
+    X tensor L <- X tensor K -> Y tensor K.  An operator theta acts by Y(theta)
+    on Y copies and by X(theta) on X copies, then by f_m on those it carries
+    into i(K).  The map into Y tensor L is f_n on X copies, 1 on Y copies."""
+    if not i.is_injective():
+        raise ValidationFailure("pushout product needs an injective simplicial set map")
+    x, y, k, l = f.source, f.target, i.source, i.target
+    p, N, tgt = f.p, k.N, tensor_sobj_with_sset(y, l)
+    # per level, indexed by the simplices of L: the K-simplex over it, or -1;
+    # the simplices outside i(K); the position of each among them, or -1
+    pre = [np.full(l.card(n), -1, dtype=np.intp) for n in range(N + 1)]
+    for n in range(N + 1):
+        pre[n][list(i.levels[n])] = np.arange(k.card(n))
+    outside = [np.flatnonzero(q < 0) for q in pre]
+    out_pos = [np.where(q < 0, np.cumsum(q < 0) - 1, -1) for q in pre]
+    levels = tuple(
+        direct_sum([_copies_complex(x.level(n), len(q)), _copies_complex(y.level(n), k.card(n))])
+        for n, q in enumerate(outside)
+    )
+
+    def op(n: int, m: int, j: int) -> ChainMap:
+        xop, yop = x.operator(n, m, j), y.operator(n, m, j)
+        lands = np.asarray(l.operator(n, m, j), dtype=np.intp)[outside[n]]
+
+        def block(t: int) -> FpMatrix:
+            xx = _route(p, out_pos[m][lands], len(outside[m]), xop.block(t))
+            xy = _route(p, pre[m][lands], k.card(m), f.level(m).block(t) @ xop.block(t))
+            yy = _route(p, k.operator(n, m, j), k.card(m), yop.block(t))
+            zero = np.zeros((xx.rows, yy.cols), dtype=np.int64)
+            return FpMatrix(p, np.block([[xx.a, zero], [xy.a, yy.a]]))
+
+        return ChainMap.build(levels[n], levels[m], {t: block(t) for t in levels[n].degrees()})
+
+    src = SimplicialObject(N, levels, *ss.operator_tables(N, op))
+    lv = tuple(
+        ChainMap.build(src.level(n), tgt.level(n), {
+            t: hstack([_route(p, outside[n], l.card(n), f.level(n).block(t)),
+                       _route(p, i.levels[n], l.card(n), eye(p, y.level(n).dim(t)))])
+            for t in levels[n].degrees()
+        })
+        for n in range(N + 1)
+    )
+    return SimplicialMap(src, tgt, lv)
 
 
 def tensor_with_sset(a: ChainComplex, k: ss.SSet) -> SimplicialObject:
@@ -562,7 +612,6 @@ class SobjSpan:
     obj: SimplicialObject
     left: SimplicialMap
     right: SimplicialMap
-    level_results: tuple
 
 
 def pushout_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
@@ -584,17 +633,7 @@ def pushout_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
     obj = SimplicialObject(N, tuple(r.obj for r in res), *ss.operator_tables(N, op))
     left = SimplicialMap(xb, obj, tuple(r.left for r in res))
     right = SimplicialMap(yc, obj, tuple(r.right for r in res))
-    return SobjSpan(obj, left, right, tuple(res))
-
-
-def pushout_sobj_mediator(span: SobjSpan, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
-    from .chain import pushout_mediator
-
-    lv = tuple(
-        pushout_mediator(span.level_results[n], u.level(n), v.level(n))
-        for n in range(span.obj.N + 1)
-    )
-    return SimplicialMap(span.obj, u.target, lv)
+    return SobjSpan(obj, left, right)
 
 
 def pullback_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
@@ -614,7 +653,7 @@ def pullback_sobj(f: SimplicialMap, g: SimplicialMap) -> SobjSpan:
     obj = SimplicialObject(N, tuple(r.obj for r in res), *ss.operator_tables(N, op))
     left = SimplicialMap(obj, xb, tuple(r.left for r in res))
     right = SimplicialMap(obj, yc, tuple(r.right for r in res))
-    return SobjSpan(obj, left, right, tuple(res))
+    return SobjSpan(obj, left, right)
 
 
 def direct_sum_sobj(parts: list[SimplicialObject]):

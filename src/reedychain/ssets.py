@@ -80,6 +80,19 @@ def operator_tables(N: int, op):
     return faces, degens
 
 
+def check_operator(N: int, n: int, m: int, i: int):
+    """Refuse an operator outside an N-truncated object: d_i leaves levels
+    1..N, s_i leaves levels 0..N-1, and both need 0 <= i <= n."""
+    if 0 <= i <= n and (1 <= n <= N if m == n - 1 else m == n + 1 and n < N):
+        return
+    if m not in (n - 1, n + 1):
+        raise ValidationFailure(f"no operator from level {n} to level {m}")
+    lo, hi, kind = (1, N, "face") if m < n else (0, N - 1, "degeneracy")
+    if not lo <= n <= hi:
+        raise ValidationFailure(f"no {kind} out of level {n}: {kind} levels run {lo}..{hi}")
+    raise ValidationFailure(f"no operator index {i} at level {n}: indices run 0..{n}")
+
+
 def operator_name(n: int, m: int, i: int) -> str:
     return f"d_{i}" if m < n else f"s_{i}"
 
@@ -166,13 +179,14 @@ class SSet:
         return self.indexes[m][lab]
 
     def face(self, m: int, i: int, idx: int) -> int:
-        return self.faces[m - 1][i][idx]
+        return self.operator(m, m - 1, i)[idx]
 
     def degen(self, m: int, i: int, idx: int) -> int:
-        return self.degens[m][i][idx]
+        return self.operator(m, m + 1, i)[idx]
 
     def operator(self, n: int, m: int, i: int) -> tuple[int, ...]:
         """Index table of the operator from level n to level m."""
+        check_operator(self.N, n, m, i)
         return self.faces[n - 1][i] if m < n else self.degens[n][i]
 
     def __eq__(self, other):
@@ -362,41 +376,6 @@ def product(x: SSet, y: SSet) -> SSet:
         return tuple(ox[ix] * cy + oy[iy] for ix in range(x.card(n)) for iy in range(y.card(n)))
 
     return SSet(x.N, levels, *operator_tables(x.N, op))
-
-
-def product_map(f: SSetMap, g: SSetMap) -> SSetMap:
-    src = product(f.source, g.source)
-    tgt = product(f.target, g.target)
-    lv = []
-    for m in range(src.N + 1):
-        ct = g.target.card(m)
-        cs = g.source.card(m)
-        row = tuple(
-            f.levels[m][ix] * ct + g.levels[m][iy]
-            for ix in range(f.source.card(m))
-            for iy in range(cs)
-        )
-        lv.append(row)
-    return SSetMap(src, tgt, tuple(lv))
-
-
-def box_boundary(f: SSetMap, g: SSetMap) -> SSetMap:
-    """For subobject inclusions f: A -> B and g: C -> D, the inclusion of
-    (A x D) union (B x C) into B x D."""
-    if not (f.is_injective() and g.is_injective()):
-        raise ValidationFailure("box boundary needs injective inclusions")
-    im_f = [
-        frozenset(f.target.label(m, v) for v in f.levels[m])
-        for m in range(f.source.N + 1)
-    ]
-    im_g = [
-        frozenset(g.target.label(m, v) for v in g.levels[m])
-        for m in range(g.source.N + 1)
-    ]
-    amb = product(f.target, g.target)
-    return sub_sset_inclusion(
-        amb, lambda m, lab: lab[0] in im_f[m] or lab[1] in im_g[m]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reedychain import chain as ch
+from reedychain import linalg as la
 from reedychain.errors import FieldMismatchError, ValidationFailure
 from reedychain.linalg import FpMatrix, random_invertible
 
@@ -123,6 +124,29 @@ def test_mono_epi():
     assert ch.is_mono(ch.identity_map(s)) and ch.is_epi(ch.identity_map(s))
 
 
+def test_homology_dims_and_is_iso_rank_each_matrix_once(monkeypatch):
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda m: calls.append(m.shape) or rref(m))
+    # degrees 0, 1, 2: two differentials, three map blocks
+    x = ch.direct_sum([ch.disk(P, 1), ch.disk(P, 2), ch.sphere(P, 1)])
+    assert x.degrees() == [0, 1, 2]
+    assert ch.homology_dims(x) == {1: 1}
+    assert len(calls) == 2
+    calls.clear()
+    assert ch.is_iso(ch.identity_map(x))
+    assert len(calls) == 3
+    inc = ch.sphere_disk_inclusion(P, 2)
+    proj = ch.zero_map(ch.disk(P, 2), ch.zero_complex(P))
+    one = FpMatrix.from_rows(P, [[1]])
+    shear = ch.ChainMap.build(
+        x, x, {0: one, 1: FpMatrix.from_rows(P, [[1, 0, 0], [0, 1, 0], [1, 0, 1]]), 2: one}
+    )
+    ch.validate_map(shear)
+    for f in (inc, proj, shear, shear.scale(0), ch.identity_map(x)):
+        assert ch.is_iso(f) == (ch.is_mono(f) and ch.is_epi(f))
+
+
 def test_sphere_disk_inclusion_shape():
     inc = ch.sphere_disk_inclusion(P, 3)
     assert inc.source == ch.sphere(P, 2)
@@ -221,7 +245,7 @@ def test_hom_degree_zero_cycles_are_chain_maps():
         a = rand_complex(r)
         b = rand_complex(r)
         h = ch.hom_complex(a, b)
-        z0 = ch.cycle_dim(h, 0)
+        z0 = h.dim(0) - h.d(0).rank()
         basis, _ = ch.chain_map_space(a, b)
         assert z0 == basis.cols
 

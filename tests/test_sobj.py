@@ -254,6 +254,25 @@ def test_operator_reads_the_tables():
     assert x.operator(1, 2, 1) is x.degen(1, 1)
 
 
+def test_operator_refuses_out_of_range_indices():
+    # d_0 out of level 0 used to read faces[-1][0], a top-level face
+    x = so.tensor_with_sset(sph(0), ss.delta(2, 1))
+    cases = [
+        (lambda: x.face(0, 0), "no face out of level 0: face levels run 1..2"),
+        (lambda: x.face(3, 0), "no face out of level 3: face levels run 1..2"),
+        (lambda: x.face(2, 3), "no operator index 3 at level 2: indices run 0..2"),
+        (lambda: x.degen(2, 0), "no degeneracy out of level 2: degeneracy levels run 0..1"),
+        (lambda: x.degen(-1, 0), "no degeneracy out of level -1: degeneracy levels run 0..1"),
+        (lambda: x.degen(1, -1), "no operator index -1 at level 1: indices run 0..1"),
+        (lambda: x.operator(1, 1, 0), "no operator from level 1 to level 1"),
+        (lambda: x.operator(0, 2, 0), "no operator from level 0 to level 2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValidationFailure) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_fiber_is_the_levelwise_kernel():
     f = so.tensor_chain_map(ch.direct_sum_with_maps([sph(1), sph(0)])[2][0], ss.delta(2, 1))
     fib = fiber(f)

@@ -87,32 +87,6 @@ def test_product_counts():
     assert ch.homology_dims(c) == {0: 1}
 
 
-def test_product_map_commutes():
-    f = ss.delta_map(2, (0, 2), 2)
-    g = ss.delta_map(2, (0, 0, 1), 1)
-    pm = ss.product_map(f, g)
-    ss.validate_sset_map(pm)
-    assert pm.source.card(1) == ss.delta(2, 1).card(1) * ss.delta(2, 2).card(1)
-
-
-def test_box_boundary_square_perimeter():
-    f = ss.boundary_inclusion(1, 1)
-    incl = ss.box_boundary(f, f)
-    assert incl.source.card(0) == 4
-    assert incl.source.card(1) == 8
-    ss.validate_sset_map(incl)
-    c = ss.normalized_chains(incl.source, P)
-    assert ch.homology_dims(c) == {0: 1, 1: 1}
-
-
-def test_box_boundary_horn_side():
-    # left edge plus top and bottom of the square: a contractible snake
-    incl = ss.box_boundary(ss.horn_inclusion(2, 1, 0), ss.boundary_inclusion(2, 1))
-    c = ss.normalized_chains(incl.source, P)
-    assert c.dims == (4, 3)
-    assert ch.homology_dims(c) == {0: 1}
-
-
 def test_is_degenerate():
     x = ss.delta(2, 1)
     assert ss.is_degenerate(x, 1, x.index_of(1, (0, 0)))
@@ -378,4 +352,38 @@ def test_validate_sset_shape_messages():
     for bad, message in cases:
         with pytest.raises(ValidationFailure) as err:
             ss.validate_sset(bad)
+        assert str(err.value) == message
+
+
+OUT_OF_RANGE = [
+    ((0, -1, 0), "no face out of level 0: face levels run 1..2"),
+    ((3, 2, 0), "no face out of level 3: face levels run 1..2"),
+    ((2, 3, 0), "no degeneracy out of level 2: degeneracy levels run 0..1"),
+    ((-1, 0, 0), "no degeneracy out of level -1: degeneracy levels run 0..1"),
+    ((1, 0, 2), "no operator index 2 at level 1: indices run 0..1"),
+    ((1, 2, -1), "no operator index -1 at level 1: indices run 0..1"),
+    ((2, 2, 0), "no operator from level 2 to level 2"),
+    ((2, 0, 0), "no operator from level 2 to level 0"),
+]
+
+
+@pytest.mark.parametrize("args, message", OUT_OF_RANGE)
+def test_operator_refuses_out_of_range_indices(args, message):
+    x = ss.delta(2, 1)
+    with pytest.raises(ValidationFailure) as err:
+        x.operator(*args)
+    assert str(err.value) == message
+
+
+def test_face_and_degen_refuse_out_of_range_levels():
+    x = ss.delta(2, 1)
+    cases = [
+        (lambda: x.face(0, 0, 0), "no face out of level 0: face levels run 1..2"),
+        (lambda: x.face(1, 2, 0), "no operator index 2 at level 1: indices run 0..1"),
+        (lambda: x.degen(2, 0, 0), "no degeneracy out of level 2: degeneracy levels run 0..1"),
+        (lambda: x.degen(1, 2, 0), "no operator index 2 at level 1: indices run 0..1"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValidationFailure) as err:
+            call()
         assert str(err.value) == message
