@@ -26,6 +26,16 @@ def _as_residues(p: int, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reduced(p: int, a: np.ndarray) -> "FpMatrix":
+    """FpMatrix over an int64 array whose entries are already in 0..p-1,
+    skipping the reduction mod p; ``a`` is made read-only, not copied."""
+    m = object.__new__(FpMatrix)
+    a.flags.writeable = False
+    object.__setattr__(m, "p", p)
+    object.__setattr__(m, "a", a)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class FpMatrix:
     """Immutable matrix over F_p.
@@ -113,10 +123,10 @@ class FpMatrix:
         return FpMatrix(self.p, self.a * (c % self.p))
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
+        return _reduced(self.p, np.ascontiguousarray(self.a.T))
 
     def column(self, j: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.a[:, j : j + 1])
+        return _reduced(self.p, self.a[:, j : j + 1].copy())
 
     def rank(self) -> int:
         return len(rref(self)[1])
@@ -126,25 +136,25 @@ class FpMatrix:
 
 
 def zeros(p: int, rows: int, cols: int) -> FpMatrix:
-    return FpMatrix(p, np.zeros((rows, cols), dtype=np.int64))
+    return _reduced(p, np.zeros((rows, cols), dtype=np.int64))
 
 
 def eye(p: int, n: int) -> FpMatrix:
-    return FpMatrix(p, np.eye(n, dtype=np.int64))
+    return _reduced(p, np.eye(n, dtype=np.int64))
 
 
 def hstack(ms: list[FpMatrix]) -> FpMatrix:
     p = ms[0].p
     for m in ms[1:]:
         ms[0]._check_p(m)
-    return FpMatrix(p, np.hstack([m.a for m in ms]))
+    return _reduced(p, np.hstack([m.a for m in ms]))
 
 
 def vstack(ms: list[FpMatrix]) -> FpMatrix:
     p = ms[0].p
     for m in ms[1:]:
         ms[0]._check_p(m)
-    return FpMatrix(p, np.vstack([m.a for m in ms]))
+    return _reduced(p, np.vstack([m.a for m in ms]))
 
 
 def block_diag(p: int, ms: list[FpMatrix]) -> FpMatrix:
@@ -156,7 +166,7 @@ def block_diag(p: int, ms: list[FpMatrix]) -> FpMatrix:
         out[r : r + m.rows, c : c + m.cols] = m.a
         r += m.rows
         c += m.cols
-    return FpMatrix(p, out)
+    return _reduced(p, out)
 
 
 def check_system_cap(rows: int, cols: int, cap: int | None):
@@ -173,6 +183,8 @@ def _rref_inplace(p: int, a: np.ndarray) -> list[int]:
     Pivot search is leftmost-column, topmost-row, which makes every derived
     basis deterministic.
     """
+    if not a.any():
+        return []
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -202,7 +214,17 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
     a = m.a.copy()
     pivots = _rref_inplace(m.p, a)
-    return FpMatrix(m.p, a), tuple(pivots)
+    return _reduced(m.p, a), tuple(pivots)
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray | None:
+    """For each column j, the first row of ``a`` equal to e_j; None when
+    some column has no such row."""
+    nonzero = a != 0
+    unit = np.flatnonzero((nonzero.sum(axis=1) == 1) & (a.max(axis=1, initial=0) == 1))
+    at = np.full(a.shape[1], -1, dtype=np.intp)
+    at[np.nonzero(nonzero[unit])[1][::-1]] = unit[::-1]
+    return None if (at < 0).any() else at
 
 
 def solve(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:
@@ -210,12 +232,19 @@ def solve(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:
 
     Returns None when the system is inconsistent.  ``b`` may have any number
     of columns; the solution is unique per column once free variables are
-    pinned, so the result is deterministic.
+    pinned, so the result is deterministic.  When ``a`` has a row e_j for
+    every column j (kernel, canonical and direct-sum bases do), the only
+    candidate is read off those rows of ``b`` and checked by one product,
+    with no elimination.
     """
     a._check_p(b)
     if a.rows != b.rows:
         raise ValueError(f"shape mismatch solve {a.shape} vs {b.shape}")
     n = a.cols
+    at = _unit_rows(a.a)
+    if at is not None:
+        x = b.a[at]
+        return _reduced(a.p, x) if not ((a.a @ x - b.a) % a.p).any() else None
     aug = np.hstack([a.a, b.a])
     pivots = _rref_inplace(a.p, aug)
     if any(c >= n for c in pivots):
@@ -223,7 +252,7 @@ def solve(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:
     x = np.zeros((n, b.cols), dtype=np.int64)
     for r, c in enumerate(pivots):
         x[c] = aug[r, n:]
-    return FpMatrix(a.p, x)
+    return _reduced(a.p, x)
 
 
 def _kernel_of_rref(p: int, r: np.ndarray, pivots, cols: int):
@@ -245,7 +274,7 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     pivot row, minus the rref entry in column j.
     """
     r, pivots = rref(m)
-    return FpMatrix(m.p, _kernel_of_rref(m.p, r.a, pivots, m.cols)[0])
+    return _reduced(m.p, _kernel_of_rref(m.p, r.a, pivots, m.cols)[0])
 
 
 def canonical_basis(span: FpMatrix) -> FpMatrix:
@@ -257,8 +286,8 @@ def canonical_basis(span: FpMatrix) -> FpMatrix:
     last nonzero entry sits at j.  So it is the rref of ``span`` transposed
     with its columns reversed, reversed back, in ascending free-column order.
     """
-    r, pivots = rref(FpMatrix(span.p, span.a.T[:, ::-1]))
-    return FpMatrix(span.p, r.a[: len(pivots)][::-1, ::-1].T)
+    r, pivots = rref(_reduced(span.p, span.a.T[:, ::-1]))
+    return _reduced(span.p, np.ascontiguousarray(r.a[: len(pivots)][::-1, ::-1].T))
 
 
 def quotient_by_columns(sub: FpMatrix, ambient_dim: int) -> tuple[FpMatrix, FpMatrix]:
@@ -275,7 +304,7 @@ def quotient_by_columns(sub: FpMatrix, ambient_dim: int) -> tuple[FpMatrix, FpMa
     k, free = _kernel_of_rref(sub.p, r.a, pivots, ambient_dim)
     sect = np.zeros((ambient_dim, len(free)), dtype=np.int64)
     sect[free, range(len(free))] = 1
-    return FpMatrix(sub.p, np.ascontiguousarray(k.T)), FpMatrix(sub.p, sect)
+    return _reduced(sub.p, np.ascontiguousarray(k.T)), _reduced(sub.p, sect)
 
 
 def random_invertible(p: int, n: int, rng) -> FpMatrix:

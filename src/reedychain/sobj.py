@@ -338,14 +338,6 @@ def along(x: SimplicialObject, path, n: int) -> ChainMap:
     return cur
 
 
-def structure_map(x: SimplicialObject, alpha, n: int) -> ChainMap:
-    """X(alpha) : X_n -> X_m for monotone alpha: [m] -> [n]."""
-    alpha = tuple(alpha)
-    if n > x.N or len(alpha) - 1 > x.N:
-        raise ValidationFailure("structure map outside the truncation")
-    return along(x, ss.factor_monotone(alpha, n), n)
-
-
 def _stack_into_sum(maps: list[ChainMap], source: ChainComplex, p: int):
     """Direct-sum the targets; the stacked map has the given components."""
     if not maps:
@@ -468,7 +460,10 @@ class Cotensor:
     """Chain complex of operator-compatible families (x_sigma) indexed by
     the simplices of K, included into ``amb``, the sum of the levels of
     ``x`` over ``components`` in order.  In degree t, component c takes
-    the rows ``offsets[t][c]`` up to ``offsets[t][c + 1]`` of ``amb``."""
+    the rows ``offsets[t][c]`` up to ``offsets[t][c + 1]`` of ``amb``.
+    ``roots`` are the simplices the family was solved at
+    (``ss.root_walk``), and ``spread[t]`` maps their values, summed in that
+    order, to the whole family: x_rho = X(beta) x_tau where rho = K(beta) tau."""
 
     obj: ChainComplex
     incl: ChainMap
@@ -476,18 +471,19 @@ class Cotensor:
     components: tuple[tuple[int, int], ...]
     offsets: dict[int, tuple[int, ...]]
     x: SimplicialObject
+    roots: tuple[tuple[int, int], ...]
+    spread: dict[int, FpMatrix]
 
 
 def cotensor0(x: SimplicialObject, k: ss.SSet) -> Cotensor:
-    """X^K, solved over the nondegenerate simplices of K.
+    """X^K, solved only for the values at the roots of K (``ss.root_walk``).
 
-    A compatible family is fixed by its values x_sigma at the nondegenerate
-    sigma, subject only to d_i x_sigma = X(s_I) x_sigma' where
-    d_i sigma = s_I sigma' (Eilenberg-Zilber lemma); every other component
-    is x_tau = X(s_I) x_sigma for tau = s_I sigma.  The kernel of that
-    reduced system is carried into the sum over all simplices, and each
-    degree gets the basis the kernel of the all-simplex conditions would
-    have there (``canonical_basis``).
+    A compatible family is fixed by its root values, as x_rho = X(beta) x_tau
+    whenever rho = K(beta) tau, and each X(beta) is one product from its
+    parent's in the walk.  Root values must agree only at the faces the walk
+    reached through two roots or two betas, so the simplex gets no condition
+    and its boundary the facet equalizer of ``matching``.  Each degree gets
+    the basis the all-simplex kernel would have there (``canonical_basis``).
     """
     if k.N != x.N:
         raise ValidationFailure("cotensor truncations differ")
@@ -495,44 +491,42 @@ def cotensor0(x: SimplicialObject, k: ss.SSet) -> Cotensor:
     components = tuple(
         (n, idx) for n in range(k.N + 1) for idx in range(k.card(n))
     )
+    roots, steps, conds = ss.root_walk(k)
     if not components:
         z = zero_complex(p)
-        return Cotensor(z, zero_map(z, z), z, components, {}, x)
+        return Cotensor(z, zero_map(z, z), z, components, {}, x, roots, {})
     parts = [x.level(n) for n, _ in components]
     amb = direct_sum(parts)
-    ez = ss.ez_decomposition(k)
-    nondeg = [(n, idx) for n, idx in components if not ez[n][idx][2]]
-    red, _, red_projs = direct_sum_with_maps([x.level(n) for n, _ in nondeg])
-    red_index = {c: i for i, c in enumerate(nondeg)}
-
-    def extend(n: int, idx: int) -> ChainMap:
-        """x_tau = X(s_I) x_sigma as a map out of the reduced sum."""
-        m, sigma, ops = ez[n][idx]
-        cur = red_projs[red_index[(m, sigma)]]
-        for i in reversed(ops):
-            cur = x.degen(m, i) @ cur
-            m += 1
-        return cur
-
-    ext = {c: extend(*c) for c in components}
-    conds = [
-        x.face(n, i) @ red_projs[red_index[(n, idx)]] - ext[(n - 1, k.face(n, i, idx))]
-        for n, idx in nondeg
-        if n
-        for i in range(n + 1)
-    ]
-    _, cond_map = _stack_into_sum(conds, red, p)
-    _, to_amb = _stack_into_sum([ext[c] for c in components], red, p)
-    bases = {
-        t: canonical_basis(to_amb.block(t) @ kernel_basis(cond_map.block(t)))
-        for t in amb.degrees()
-    }
+    first = list(itertools.accumulate((k.card(n) for n in range(k.N + 1)), initial=0))
+    root_of = {(n, idx): r for n, idx, r, _ in steps}
+    offsets, spread, bases = {}, {}, {}
+    for t in amb.degrees():
+        off = offsets[t] = tuple(itertools.accumulate((q.dim(t) for q in parts), initial=0))
+        at = list(itertools.accumulate((x.level(n).dim(t) for n, _ in roots), initial=0))
+        table = np.zeros((off[-1], at[-1]), dtype=np.int64)
+        value = {}
+        for n, idx, r, src in steps:
+            if src is None:
+                v = np.eye(x.level(n).dim(t), dtype=np.int64)
+            else:
+                m, parent, i = src
+                v = x.operator(m, n, i).block(t).a @ value[(m, parent)] % p
+            value[(n, idx)] = v
+            c = first[n] + idx
+            table[off[c] : off[c + 1], at[r] : at[r + 1]] = v
+        rows = []
+        for n, idx, i in conds:
+            face = k.face(n, i, idx)
+            row = np.zeros((x.level(n - 1).dim(t), at[-1]), dtype=np.int64)
+            r, rf = root_of[(n, idx)], root_of[(n - 1, face)]
+            row[:, at[r] : at[r + 1]] = x.face(n, i).block(t).a @ value[(n, idx)]
+            row[:, at[rf] : at[rf + 1]] -= value[(n - 1, face)]
+            rows.append(row)
+        spread[t] = FpMatrix(p, table)
+        span = spread[t] @ kernel_basis(FpMatrix(p, np.vstack(rows))) if rows else spread[t]
+        bases[t] = canonical_basis(span)
     obj, incl = subcomplex(amb, bases)
-    offsets = {
-        t: tuple(itertools.accumulate((q.dim(t) for q in parts), initial=0))
-        for t in amb.degrees()
-    }
-    return Cotensor(obj, incl, amb, components, offsets, x)
+    return Cotensor(obj, incl, amb, components, offsets, x, roots, spread)
 
 
 def _components_of(ct: Cotensor, picked: list[int], target: ChainComplex) -> ChainMap:
@@ -584,23 +578,22 @@ def boundary_cotensor_from_matching(
     x: SimplicialObject, n: int, ct: Cotensor | None = None, mt: Matching | None = None
 ) -> ChainMap:
     """The comparison map from the matching object to the cotensor against
-    the boundary of the n-simplex: the component at a non-surjective sigma
-    is X(alpha) of the codimension-one face missing the least vertex k
-    outside the image of sigma, where sigma = d^k alpha."""
+    the boundary of the n-simplex: the roots there are the n + 1 facets, so
+    the family is ``ct.spread`` applied to the facet values of M_nX."""
     k = ss.boundary_inclusion(x.N, n).source
     if ct is None:
         ct = cotensor0(x, k)
     if mt is None:
         mt = matching(x, n)
-    faces = [pr @ mt.incl for pr in mt.projs]
-    pieces = []
-    for (m, idx) in ct.components:
-        sigma = k.label(m, idx)
-        miss = min(set(range(n + 1)) - set(sigma))
-        alpha = tuple(v - (v > miss) for v in sigma)
-        pieces.append(structure_map(x, alpha, n - 1) @ faces[n - miss])
-    _, e = _stack_into_sum(pieces, mt.obj, x.p)
-    return factor_through_mono(ct.incl, e)
+    # the root (n - 1, idx) is the facet missing one vertex v, matching copy n - v
+    facets = [
+        mt.projs[n - (set(range(n + 1)) - set(k.label(m, idx))).pop()] @ mt.incl
+        for m, idx in ct.roots
+    ]
+    blocks = {
+        t: ct.spread[t] @ vstack([f.block(t) for f in facets]) for t in mt.obj.degrees()
+    }
+    return factor_through_mono(ct.incl, ChainMap.build(mt.obj, ct.amb, blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,56 @@ def ez_decomposition(x: SSet) -> tuple[tuple[tuple[int, int, tuple[int, ...]], .
     return tuple(out)
 
 
+def root_walk(x: SSet):
+    """Each simplex rho of x as K(beta) tau for a root tau, a nondegenerate
+    simplex that is no face of a nondegenerate one.  Going down the levels,
+    a nondegenerate simplex not yet reached is a root (beta the identity)
+    and passes beta along a coface to its nondegenerate faces not yet
+    reached; then each degenerate s_i rho', i first in its Eilenberg-Zilber
+    word, takes beta(rho') along the codegeneracy.  beta is a monotone tuple
+    and moves like a label of the standard simplex.
+
+    Returns (roots, steps, conds): roots as (n, idx); steps (n, idx, root,
+    src), parents first, src None at a root and else (m, parent, i) for the
+    operator from level m to n with index i; conds the (n, idx, i) whose
+    face d_i was reached through another root or another beta, the only
+    faces where root values must satisfy d_i x_idx = x_{d_i idx}.
+    """
+    ez = ez_decomposition(x)
+    nondeg = [nondegenerate_indices(x, n) for n in range(x.N + 1)]
+    reached: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(x.N + 1)]
+    roots, steps = [], []
+    for n in reversed(range(x.N + 1)):
+        for idx in nondeg[n]:
+            if idx not in reached[n]:
+                reached[n][idx] = (len(roots), tuple(range(n + 1)))
+                steps.append((n, idx, len(roots), None))
+                roots.append((n, idx))
+            root, beta = reached[n][idx]
+            for i in range(n + 1 if n else 0):
+                face = x.face(n, i, idx)
+                if not ez[n - 1][face][2] and face not in reached[n - 1]:
+                    reached[n - 1][face] = (root, _tuple_op(n, n - 1, i, beta))
+                    steps.append((n - 1, face, root, (n, idx, i)))
+    for n in range(1, x.N + 1):
+        for idx in range(x.card(n)):
+            ops = ez[n][idx][2]
+            if ops:
+                below = x.face(n, ops[0], idx)
+                root, beta = reached[n - 1][below]
+                reached[n][idx] = (root, _tuple_op(n - 1, n, ops[0], beta))
+                steps.append((n, idx, root, (n - 1, below, ops[0])))
+    conds = tuple(
+        (n, idx, i)
+        for n in range(1, x.N + 1)
+        for idx in nondeg[n]
+        for i in range(n + 1)
+        if reached[n - 1][x.face(n, i, idx)]
+        != (reached[n][idx][0], _tuple_op(n, n - 1, i, reached[n][idx][1]))
+    )
+    return tuple(roots), tuple(steps), conds
+
+
 def normalized_chains(x: SSet, p: int) -> ChainComplex:
     """Chains on nondegenerate simplices in degrees 0..N, alternating-sum
     differential with degenerate faces sent to zero."""

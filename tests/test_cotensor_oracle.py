@@ -1,12 +1,22 @@
-"""Differential tests of the cotensor over nondegenerate simplices against
-the all-simplex presentation.
+"""Differential tests of the cotensor solved at the roots of K against two
+earlier presentations.
 
-The reference path kept here is the one ``sobj.cotensor0`` replaced: X^K as
-the kernel of the relation map on the sum of X_n over every simplex of K,
-degenerate ones included, with one condition for every face and every
-degeneracy.  The reduced presentation must give the same complex and the
-same inclusion, entry for entry, because it canonicalizes each degree to
-the basis this kernel has.
+``sobj.cotensor0`` solves X^K only for the values at the roots of
+``ss.root_walk`` (the nondegenerate simplices that are no face of a
+nondegenerate one) and reads every other component off one structure-map
+product.  Two references are kept here:
+
+- the all-simplex presentation: X^K as the kernel of the relation map on
+  the sum of X_n over every simplex of K, degenerate ones included, with
+  one condition for every face and every degeneracy;
+- the Eilenberg-Zilber presentation: unknowns at every nondegenerate
+  simplex, one condition d_i x_sigma = X(s_I) x_sigma' per face, and every
+  degenerate component extended by X(s_I) through dense projections of the
+  reduced sum.
+
+All three must give the same complex and the same inclusion, entry for
+entry, because each canonicalizes every degree to the basis the all-simplex
+kernel has.
 """
 
 import itertools
@@ -16,10 +26,14 @@ import pytest
 
 from reedychain import chain as ch
 from reedychain import fixtures as fx
+from reedychain import harness as hn
 from reedychain import sampling as sm
 from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain.config import Manifest
+from reedychain.linalg import canonical_basis, kernel_basis
+from test_reedy_oracle import structure_map
+from test_ssets import circle
 
 P = 7
 # the samplers' dimension cap, and the largest all-simplex ambient (total
@@ -70,6 +84,79 @@ def all_simplex_cotensor(x: so.SimplicialObject, k: ss.SSet) -> Reference:
     _, cond_map = so._stack_into_sum(conds, amb, p)
     obj, incl = ch.kernel_complex(cond_map)
     return Reference(obj, incl, amb, components, tuple(projs))
+
+
+def ez_cotensor(x: so.SimplicialObject, k: ss.SSet) -> so.Cotensor:
+    """X^K solved over the nondegenerate simplices of K: d_i x_sigma =
+    X(s_I) x_sigma' where d_i sigma = s_I sigma', and every other component
+    is x_tau = X(s_I) x_sigma for tau = s_I sigma.  The kernel of that
+    reduced system is carried into the sum over all simplices.  Its roots
+    and spread are left empty: they belong to the root presentation."""
+    p = x.p
+    components = tuple((n, idx) for n in range(k.N + 1) for idx in range(k.card(n)))
+    if not components:
+        z = ch.zero_complex(p)
+        return so.Cotensor(z, ch.zero_map(z, z), z, components, {}, x, (), {})
+    parts = [x.level(n) for n, _ in components]
+    amb = ch.direct_sum(parts)
+    ez = ss.ez_decomposition(k)
+    nondeg = [(n, idx) for n, idx in components if not ez[n][idx][2]]
+    red, _, red_projs = ch.direct_sum_with_maps([x.level(n) for n, _ in nondeg])
+    red_index = {c: i for i, c in enumerate(nondeg)}
+
+    def extend(n: int, idx: int) -> ch.ChainMap:
+        m, sigma, ops = ez[n][idx]
+        cur = red_projs[red_index[(m, sigma)]]
+        for i in reversed(ops):
+            cur = x.degen(m, i) @ cur
+            m += 1
+        return cur
+
+    ext = {c: extend(*c) for c in components}
+    conds = [
+        x.face(n, i) @ red_projs[red_index[(n, idx)]] - ext[(n - 1, k.face(n, i, idx))]
+        for n, idx in nondeg
+        if n
+        for i in range(n + 1)
+    ]
+    _, cond_map = so._stack_into_sum(conds, red, p)
+    _, to_amb = so._stack_into_sum([ext[c] for c in components], red, p)
+    bases = {
+        t: canonical_basis(to_amb.block(t) @ kernel_basis(cond_map.block(t)))
+        for t in amb.degrees()
+    }
+    obj, incl = ch.subcomplex(amb, bases)
+    offsets = {
+        t: tuple(itertools.accumulate((q.dim(t) for q in parts), initial=0))
+        for t in amb.degrees()
+    }
+    return so.Cotensor(obj, incl, amb, components, offsets, x, (), {})
+
+
+def composed_boundary_cotensor(
+    x: so.SimplicialObject, n: int, ct: so.Cotensor, mt: so.Matching
+) -> ch.ChainMap:
+    """The comparison from M_nX into the cotensor ``ct`` against the
+    boundary of the n-simplex, one composed operator path per simplex: the
+    component at a non-surjective sigma is X(alpha) of the codimension-one
+    face missing the least vertex k outside the image of sigma, where
+    sigma = d^k alpha."""
+    k = ss.boundary_inclusion(x.N, n).source
+    faces = [pr @ mt.incl for pr in mt.projs]
+    pieces = []
+    for m, idx in ct.components:
+        sigma = k.label(m, idx)
+        miss = min(set(range(n + 1)) - set(sigma))
+        alpha = tuple(v - (v > miss) for v in sigma)
+        pieces.append(structure_map(x, alpha, n - 1) @ faces[n - miss])
+    _, e = so._stack_into_sum(pieces, mt.obj, x.p)
+    return so.factor_through_mono(ct.incl, e)
+
+
+def same_cotensor(got: so.Cotensor, want: so.Cotensor) -> bool:
+    return (got.obj, got.incl, got.amb, got.components, got.offsets) == (
+        want.obj, want.incl, want.amb, want.components, want.offsets
+    )
 
 
 def ambient_dim(x: so.SimplicialObject, k: ss.SSet) -> int:
@@ -208,3 +295,81 @@ def test_ez_decomposition_of_boundary():
                 m += 1
             assert (m, cur) == (n, idx)
     assert [len(ss.nondegenerate_indices(k, n)) for n in range(4)] == [3, 3, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the root presentation against the Eilenberg-Zilber one
+
+
+def corpus_objects(p: int, N: int) -> list[so.SimplicialObject]:
+    """Both ends of one draw of every sampler kind (the object itself for
+    random_sobj) and of two random_small_map draws."""
+    out = []
+    for kind in sm.KINDS:
+        got = sm.sample(kind, p, N, seed=0, cap=CAP)
+        out += [got] if kind == "random_sobj" else [got.source, got.target]
+    for s in range(2):
+        f = sm.random_small_map(p, N, sm.rng_for(f"cotensor-oracle:roots:{p}:{N}:{s}"))
+        out += [f.source, f.target]
+    return out
+
+
+def corpus_shapes(N: int) -> list[ss.SSet]:
+    """Both ends of every injective_pool member, each shape once, then
+    the 1-simplex squared, the horn of the 2-simplex at 1 times the
+    1-simplex, and at N = 1 the circle."""
+    ends = [end for _, i in hn.injective_pool(N) for end in (i.source, i.target)]
+    out = list({id(k): k for k in ends}.values())
+    out.append(ss.product(ss.delta(N, 1), ss.delta(N, 1)))
+    out.append(ss.product(ss.horn_inclusion(N, 2, 1).source, ss.delta(N, 1)))
+    if N == 1:
+        out.append(circle())
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_root_cotensor_matches_ez_reference(p, N):
+    cases = 0
+    for x in corpus_objects(p, N):
+        for k in corpus_shapes(N):
+            assert same_cotensor(so.cotensor0(x, k), ez_cotensor(x, k)), (k.levels[0], x.N)
+            cases += 1
+    assert cases == 15 * (13 if N > 1 else 9)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_boundary_comparison_matches_composed_paths(N):
+    """The matching-to-cotensor comparison read off the spread equals the
+    one composed along an operator path per simplex."""
+    for p in (2, 101):
+        for x in corpus_objects(p, N):
+            for n in range(N + 1):
+                ct = so.cotensor0(x, ss.boundary_inclusion(N, n).source)
+                mt = so.matching(x, n)
+                got = so.boundary_cotensor_from_matching(x, n, ct, mt)
+                assert got == composed_boundary_cotensor(x, n, ct, mt), (p, n)
+
+
+def test_simplex_needs_no_condition_rows(monkeypatch):
+    """Against the n-simplex the identity is the one root and no face is
+    reached twice, so X^{Delta^n} is X_n with no kernel taken; against its
+    boundary the roots are the n + 1 facets."""
+    for N in range(1, 6):
+        for n in range(N + 1):
+            k = ss.delta(N, n)
+            roots, steps, conds = ss.root_walk(k)
+            assert roots == ((n, k.index_of(n, tuple(range(n + 1)))),)
+            assert conds == ()
+            assert len(steps) == sum(k.card(m) for m in range(N + 1))
+            facets = ss.root_walk(ss.boundary_inclusion(N, n).source)[0]
+            assert [m for m, _ in facets] == [n - 1] * (n + 1 if n else 0)
+    # the 3-simplex boundary: 6 conditions on the edges, 4 on the vertices
+    assert len(ss.root_walk(ss.boundary_inclusion(3, 3).source)[2]) == 10
+    calls, kernel = [], so.kernel_basis
+    monkeypatch.setattr(so, "kernel_basis", lambda m: calls.append(m.shape) or kernel(m))
+    for x in small_map_objects(3):
+        for n in range(4):
+            ct = so.cotensor0(x, ss.delta(3, n))
+            assert ct.obj.dims == x.level(n).dims
+    assert calls == []

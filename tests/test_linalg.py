@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reedychain import linalg as la
 from reedychain.errors import FieldMismatchError
 from reedychain.linalg import (
     FpMatrix,
@@ -264,3 +265,88 @@ def test_kernel_and_quotient_match_the_loop_references(p):
             assert _same(kernel_basis(m), loop_kernel_basis(m))
             got, want = quotient_by_columns(m, rows), loop_quotient_by_columns(m, rows)
             assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+
+_ELIMINATE = la._rref_inplace
+
+
+def eliminating_solve(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:
+    """``solve`` by elimination alone, the path unit rows now skip."""
+    n = a.cols
+    aug = np.hstack([a.a, b.a])
+    pivots = _ELIMINATE(a.p, aug)
+    if any(c >= n for c in pivots):
+        return None
+    x = np.zeros((n, b.cols), dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = aug[r, n:]
+    return FpMatrix(a.p, x)
+
+
+def with_unit_rows(p: int, rng, rows: int, cols: int, scale: bool) -> np.ndarray:
+    """A random rows x cols block with a row e_j for every column j mixed in
+    (or, with ``scale``, c * e_j for some c != 1 at one column)."""
+    units = np.eye(cols, dtype=np.int64)
+    if scale and cols and p > 2:
+        units[rng.integers(cols)] *= int(rng.integers(2, p))
+    a = np.vstack([rng.integers(0, p, size=(rows, cols)), units, units[: cols // 2]])
+    return a[rng.permutation(a.shape[0])]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32749])
+def test_unit_row_solve_matches_elimination(p, monkeypatch):
+    rng = np.random.default_rng(p + 1)
+    calls, eliminated = [], 0
+    monkeypatch.setattr(la, "_rref_inplace", lambda q, a: calls.append(a.shape) or _ELIMINATE(q, a))
+    shapes = [(0, 0), (3, 0), (0, 3), (2, 1)] + [
+        tuple(rng.integers(0, 8, size=2)) for _ in range(40)
+    ]
+    for rows, cols in shapes:
+        for scale in (False, True):
+            a = FpMatrix(p, with_unit_rows(p, rng, rows, cols, scale))
+            rows_of_a = a.tolists()
+            units = {j for j in range(cols) if [int(v == j) for v in range(cols)] in rows_of_a}
+            for k in (0, 1, 3):
+                good = a @ FpMatrix(p, rng.integers(0, p, size=(cols, k)))
+                noise = rng.integers(0, p, size=good.shape) * (rng.random(good.shape) < 0.2)
+                bad = good + FpMatrix(p, noise)
+                for b in (good, bad):
+                    calls.clear()
+                    got, want = solve(a, b), eliminating_solve(a, b)
+                    assert (got is None) == (want is None)
+                    assert got is None or _same(got, want)
+                    # elimination runs exactly when some column lacks a row e_j
+                    assert bool(calls) == (len(units) < cols)
+                    eliminated += bool(calls)
+    assert eliminated >= (40 if p > 2 else 0)
+    # a matrix with no rows and some columns has no unit row: elimination
+    calls.clear()
+    assert _same(solve(zeros(p, 0, 2), zeros(p, 0, 1)), zeros(p, 2, 1)) and calls
+
+
+def test_rref_of_zero_matrix_returns_no_pivots_at_once():
+    a = np.zeros((3, 4), dtype=np.int64)
+    assert la._rref_inplace(5, a) == [] and not a.any()
+    r, pivots = rref(zeros(5, 3, 4))
+    assert pivots == () and r == zeros(5, 3, 4)
+
+
+def test_reduced_outputs_hold_residues(monkeypatch):
+    """Every array the kernels hand out unreduced is int64, read-only and in
+    0..p-1, over the acceptance suites a02, a03 and a04."""
+    import test_acceptance as acc
+
+    orig, seen = la._reduced, []
+
+    def checked(p, a):
+        m = orig(p, a)
+        assert m.a.dtype == np.int64 and not m.a.flags.writeable
+        assert not m.a.size or (m.a.min() >= 0 and m.a.max() < p)
+        seen.append(p)
+        return m
+
+    monkeypatch.setattr(la, "_reduced", checked)
+    acc.test_a02_relative_matching_matches_boundary_corner()
+    acc.test_a03_boundary_cotensor_is_matching_object()
+    acc.test_a04_box_with_injective_preserves_reedy_cofibrations()
+    assert len(seen) > 1000

@@ -32,7 +32,7 @@ from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
 from reedychain.linalg import FpMatrix, block_diag, hstack
-from test_reedy_oracle import glue_out_of_sum
+from test_reedy_oracle import glue_out_of_sum, structure_map
 
 P = 7
 SAMPLE_P = 101
@@ -121,7 +121,7 @@ def summand_comparison(y: so.SimplicialObject, n: int, tot: tt.TotalComplex) -> 
             to_normalized = tot.witnesses[k][0].block(t)
             sign = -1 if (t * k) % 2 else 1
             for j, idx in enumerate(ss.nondegenerate_indices(shape, k)):
-                img = to_normalized @ so.structure_map(y, shape.label(k, idx), n).block(t)
+                img = to_normalized @ structure_map(y, shape.label(k, idx), n).block(t)
                 m[o : o + img.rows, off + j : off + r * c : c] = sign * img.a
         blocks[d] = FpMatrix(p, m)
     return ch.ChainMap.build(src, tot.obj, blocks)

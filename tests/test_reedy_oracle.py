@@ -57,6 +57,15 @@ MAP_KINDS = tuple(k for k in sm.KINDS if k != "random_sobj")
 # reference path
 
 
+def structure_map(x: so.SimplicialObject, alpha, n: int) -> ch.ChainMap:
+    """X(alpha) : X_n -> X_m for monotone alpha: [m] -> [n], composed along
+    the operator path of ``ss.factor_monotone``."""
+    alpha = tuple(alpha)
+    if n > x.N or len(alpha) - 1 > x.N:
+        raise ValidationFailure("structure map outside the truncation")
+    return so.along(x, ss.factor_monotone(alpha, n), n)
+
+
 def glue_out_of_sum(maps: list[ch.ChainMap], target: ch.ChainComplex, p: int):
     """Direct-sum the sources; the glued map restricts to each given map."""
     if not maps:
@@ -95,7 +104,7 @@ def colimit_latching(x: so.SimplicialObject, n: int) -> ColimitLatching:
             rels.append(incs[index[a]] @ x.degen(j - 1, i) - incs[index[b]])
     _, rel_map = glue_out_of_sum(rels, amb, p)
     q, proj, sects = ch.cokernel_complex(rel_map)
-    into_level = [so.structure_map(x, a, len(set(a)) - 1) for a in objects]
+    into_level = [structure_map(x, a, len(set(a)) - 1) for a in objects]
     _, u = glue_out_of_sum(into_level, x.level(n), p)
     # u kills the relations, so it descends along the quotient sections
     to_level = ch.ChainMap.build(q, x.level(n), {t: u.block(t) @ sects[t] for t in q.degrees()})
@@ -152,7 +161,7 @@ def all_faces_matching(x: so.SimplicialObject, n: int) -> AllFacesMatching:
             conds.append(x.face(j, i) @ projs[index[a]] - projs[index[b]])
     _, cond_map = so._stack_into_sum(conds, amb, p)
     m, incl = ch.kernel_complex(cond_map)
-    _, v = so._stack_into_sum([so.structure_map(x, a, n) for a in objects], x.level(n), p)
+    _, v = so._stack_into_sum([structure_map(x, a, n) for a in objects], x.level(n), p)
     from_level = so.factor_through_mono(incl, v)
     return AllFacesMatching(m, from_level, objects, amb, incl, tuple(projs))
 
@@ -190,7 +199,7 @@ def all_faces_boundary_cotensor(
     for m, idx in ct.components:
         delta_t, pi = dk._epi_mono_factor(k.label(m, idx))
         comp = mt.projs[index[delta_t]] @ mt.incl
-        pieces.append(so.structure_map(x, pi, len(delta_t) - 1) @ comp)
+        pieces.append(structure_map(x, pi, len(delta_t) - 1) @ comp)
     _, e = so._stack_into_sum(pieces, mt.obj, x.p)
     return so.factor_through_mono(ct.incl, e)
 

