@@ -7,8 +7,11 @@ deterministic leftmost pivots, solving ``A X = B`` with free variables set to
 zero, kernel bases enumerated in column order, and quotient bases read off the
 non-pivot coordinates of an rref.
 
-Products stay well inside int64 range: with p <= 2**15 and at most 2**20
-summands, partial sums are below 2**50.
+Elimination runs on Python int row lists and touches only the rows nonzero
+in the pivot column and the nonzero entries of the pivot row, so it cannot
+overflow; the numpy whole-matrix kernel it replaced is the reference in
+tests/test_linalg.py.  The int64 bound covers products only: with
+p <= 2**15 and at most 2**20 summands, partial sums are below 2**50.
 """
 
 from __future__ import annotations
@@ -181,32 +184,39 @@ def _rref_inplace(p: int, a: np.ndarray) -> list[int]:
     """Row reduce ``a`` (mutated) to reduced echelon form; returns pivot columns.
 
     Pivot search is leftmost-column, topmost-row, which makes every derived
-    basis deterministic.
+    basis deterministic.  The rows are Python int lists, read once and
+    written back once; a pivot updates only the rows nonzero in its column,
+    and only at the nonzero entries of the pivot row (all from column c on,
+    as the pivot row is zero before it).
     """
     if not a.any():
         return []
     rows, cols = a.shape
+    m = a.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        other = a[:, c].copy()
-        other[r] = 0
-        if other.any():
-            a -= np.outer(other, a[r])
-            a %= p
+        row = m[i]
+        m[i], m[r] = m[r], row
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row[c:] = [v * inv % p for v in row[c:]]
+        entries = [(j, v) for j, v in enumerate(row[c:], c) if v]
+        for other in m:
+            f = other[c]
+            if f and other is not row:
+                for j, v in entries:
+                    other[j] = (other[j] - f * v) % p
         pivots.append(c)
         r += 1
+        if r == rows:
+            break
+    a[...] = m
     return pivots
 
 

@@ -424,6 +424,7 @@ def ez_decomposition(x: SSet) -> tuple[tuple[tuple[int, int, tuple[int, ...]], .
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
 def root_walk(x: SSet):
     """Each simplex rho of x as K(beta) tau for a root tau, a nondegenerate
     simplex that is no face of a nondegenerate one.  Going down the levels,
@@ -437,7 +438,9 @@ def root_walk(x: SSet):
     src), parents first, src None at a root and else (m, parent, i) for the
     operator from level m to n with index i; conds the (n, idx, i) whose
     face d_i was reached through another root or another beta, the only
-    faces where root values must satisfy d_i x_idx = x_{d_i idx}.
+    faces where root values must satisfy d_i x_idx = x_{d_i idx}.  The walk
+    depends on x alone and is cached per x (the cotensors of one run see the
+    same few Delta^n and boundaries again and again).
     """
     ez = ez_decomposition(x)
     nondeg = [nondegenerate_indices(x, n) for n in range(x.N + 1)]

@@ -350,3 +350,61 @@ def test_reduced_outputs_hold_residues(monkeypatch):
     acc.test_a03_boundary_cotensor_is_matching_object()
     acc.test_a04_box_with_injective_preserves_reedy_cofibrations()
     assert len(seen) > 1000
+
+
+def numpy_rref_inplace(p: int, a: np.ndarray) -> list[int]:
+    """The whole-matrix numpy kernel that ``la._rref_inplace`` replaced:
+    each pivot subtracts an outer product from every row and reduces every
+    entry mod p."""
+    if not a.any():
+        return []
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        other = a[:, c].copy()
+        other[r] = 0
+        if other.any():
+            a -= np.outer(other, a[r])
+            a %= p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _elimination_inputs(p: int, rng):
+    """Empty and 1x1 shapes, small random shapes at three densities, tall
+    sparse level-system shapes, wide shapes, and matrices of p - 1."""
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        yield np.zeros(shape, dtype=np.int64)
+    for v in (0, 1, p - 1):
+        yield np.array([[v]], dtype=np.int64)
+    for _ in range(40):
+        shape = tuple(int(v) for v in rng.integers(1, 13, size=2))
+        for density in (0.02, 0.2, 0.9):
+            yield rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+    for shape, density in (((300, 80), 0.02), ((120, 40), 0.03), ((20, 500), 0.05), ((6, 200), 0.5)):
+        yield rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+    for shape, density in (((8, 8), 1.0), ((10, 6), 0.4), ((60, 20), 0.05), ((5, 40), 0.3)):
+        yield (p - 1) * (rng.random(shape) < density).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32749])
+def test_elimination_matches_the_numpy_reference(p):
+    """The row-list kernel gives the numpy kernel's pivots and the same
+    int64 array bytes, on every input of ``_elimination_inputs``."""
+    rng = np.random.default_rng(1000 + p)
+    for a in _elimination_inputs(p, rng):
+        got, want = a.copy(), a.copy()
+        assert la._rref_inplace(p, got) == numpy_rref_inplace(p, want), a.shape
+        assert got.tobytes() == want.tobytes(), a.shape

@@ -1,5 +1,6 @@
 """The benchmark's traced mode resolves library functions by name: every
-entry of ``SPANS`` in perfbench/tracing.py must name a function defined in
+entry of ``SPANS`` in perfbench/tracing.py, and every binding its
+``install`` patches directly, must name a function defined in
 ``reedychain``, so a rename or removal fails here and not only in the
 benchmark's self-test."""
 
@@ -19,8 +20,13 @@ def _spans() -> dict:
     return mod.SPANS
 
 
+# The counters ``install`` wraps outside ``SPANS``: elimination sizes,
+# matrix constructions and assembled system shapes.
+DIRECT = ("linalg._rref_inplace", "linalg.FpMatrix.__post_init__", "system.BlockSystem._assemble")
+
+
 def _names():
-    return [f"{mod}.{fn}" for mod, fns in _spans().items() for fn in fns]
+    return [f"{mod}.{fn}" for mod, fns in _spans().items() for fn in fns] + list(DIRECT)
 
 
 @pytest.mark.parametrize("name", _names())
