@@ -1,41 +1,42 @@
 """Decidable classifiers for maps of truncated simplicial objects.
 
-Every predicate reduces to exact rank computations: levelwise mapping
-cones for the weak equivalences, levelwise injectivity for the
-cofibrations, a closed form over the normalized levels for the fibrations,
-and the faces of the fiber for the equifibered condition.  Failing
-classifiers come with a witness locating the first level and degree where
-the defect appears.
+Every predicate reduces to exact rank computations on the normal form of
+f.  Over a field every simplicial object splits (Dold-Kan), so
+``classify`` builds the normalized totals of both ends and the level maps
+N_nf: X_n/D_nX -> Y_n/D_nY between them once, and reads all four of its
+own verdicts off them.  A failing classifier comes with a witness locating
+the first level and degree where the defect appears, and it is the
+witness of the full levels, for three reasons (Goerss-Jardine III.2):
 
-Over a field every simplicial object splits (Dold-Kan): the latching map
-is the inclusion of the degeneracy span D_nX, so f is a Reedy cofibration
-iff every normalized level map X_n/D_nX -> Y_n/D_nY is injective.  As
-X_n is the sum of the N_kX over the surjections [n] -> [k], that holds iff
-every f_n is injective, and the first failing (level, degree) is the same:
-the Reedy cofibrations are the levelwise monos.  The matching map fits into
-Moore's exact sequence
+- f_n is naturally the sum of the N_kf over the surjections [n] -> [k], so
+  at the first level where f_n is not a quasi-isomorphism (or not
+  injective, or not onto) only N_nf fails, and in the same degree;
+- N is exact, so the fiber F = ker f of a levelwise onto f has the
+  normalized levels N_kF = ker N_kf;
+- at the first k >= 1 where H(N_kF) is nonzero every face of F_k fails,
+  d_0 first; d_0 is split by s_0, so cone(d_0) ~ (ker d_0)[1] has the
+  homology of N_kF shifted up by one.
+
+The latching map is the inclusion of the degeneracy span D_nX, so by the
+first reason the Reedy cofibrations are the levelwise monos.  The matching
+map fits into Moore's exact sequence
 
     0 -> Z_nX -> X_n -> M_nX -> H_{n-1}X -> 0
 
 with Z_nX the intersection of the kernels of all faces and H_{n-1} the
-homology of the Moore complex (Goerss-Jardine III.2; May, Simplicial
-Objects, 17).  Comparing it with the sequence of Y shows that the relative
-matching map X_n -> Y_n x_{M_nY} M_nX is onto iff f maps Z_nX onto Z_nY and,
-for n >= 1, H_{n-1}X -> H_{n-1}Y is injective.  Both criteria hold or fail
-degree by degree, so the witnesses match those of the relative latching
-and matching maps.  The Moore complex is naturally isomorphic to the
-normalized complex X_n/D_nX degree by degree (Dold-Kan), so Z_n and H_{n-1}
-are read off the normalized total that the realization verdict also uses:
-``classify`` builds each end's total once and hands it to both.
+homology of the Moore complex (May, Simplicial Objects, 17).  Comparing it
+with the sequence of Y shows that the relative matching map
+X_n -> Y_n x_{M_nY} M_nX is onto iff f maps Z_nX onto Z_nY and, for n >= 1,
+H_{n-1}X -> H_{n-1}Y is injective, degree by degree.  The Moore complex is
+naturally isomorphic to the normalized one, so both are read off the totals.
 
 A Reedy fibration is equifibered when each face square
-X_{m+1} -> X_m x_{Y_m} Y_{m+1} is homotopy cartesian.  Every f_m of a
-Reedy fibration is onto, so the square maps the extension
-F_{m+1} -> X_{m+1} -> Y_{m+1} onto F_m -> X_m x_{Y_m} Y_{m+1} -> Y_{m+1}
-with the identity on Y_{m+1}, and its cone has the homology of the cone of
-d_i on the fiber F = ker f.  Equifibered therefore means a Reedy fibration
-whose fiber is homotopically constant (chain complexes over a field are
-stable; Hovey, Model Categories, ch. 7).
+X_{m+1} -> X_m x_{Y_m} Y_{m+1} is homotopy cartesian.  Every f_m is onto,
+so the cone of the square has the homology of the cone of d_i on F, and
+equifibered means that F is homotopically constant (chain complexes over
+a field are stable; Hovey, Model Categories, ch. 7).  By the last two
+reasons the first failing square is (k - 1, 0, 1 + the least degree of
+H(ker N_kf)) at the first k >= 1 where that homology is nonzero.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,8 @@ from . import totals as tt
 from .chain import (
     ChainMap,
     SpanResult,
+    epi_witness,
+    homology_dims,
     invert_map,
     is_iso,
     kernel_complex,
@@ -77,22 +80,32 @@ def relative_matching(f: SimplicialMap, n: int) -> RelativeMatching:
     return RelativeMatching(m, span, mx, my)
 
 
-def level_we_witness(f: SimplicialMap):
-    """(level, degree) of the first level that is not a quasi-isomorphism."""
-    for n in range(f.source.N + 1):
-        t = quasi_iso_witness(f.level(n))
+def _first_failing(maps, witness):
+    """(level, degree) of the first level map that ``witness`` rejects."""
+    for n, m in enumerate(maps):
+        t = witness(m)
         if t is not None:
             return (n, t)
     return None
+
+
+def level_we_witness(f: SimplicialMap):
+    """(level, degree) of the first level that is not a quasi-isomorphism."""
+    return _first_failing(f.levels, quasi_iso_witness)
 
 
 def reedy_cof_witness(f: SimplicialMap):
     """(level, degree) of the first level map f_n that is not injective."""
-    for n in range(f.source.N + 1):
-        t = mono_witness(f.level(n))
-        if t is not None:
-            return (n, t)
-    return None
+    return _first_failing(f.levels, mono_witness)
+
+
+def _normal_form(f: SimplicialMap, tx: tt.TotalComplex | None, ty: tt.TotalComplex | None):
+    """Both normalized totals, built unless passed in, and the N_nf."""
+    if tx is None:
+        tx = tt.total_complex(f.source, "normalized")
+    if ty is None:
+        ty = tt.total_complex(f.target, "normalized")
+    return tx, ty, tt.level_maps(f, tx, ty)
 
 
 def _cycles(tot: tt.TotalComplex, n: int, t: int):
@@ -110,12 +123,11 @@ def reedy_fib_witness(
     Z_nX onto Z_nY and, for n >= 1, is injective on H_{n-1}.  Read off the
     normalized totals, which are naturally isomorphic to the Moore
     complexes level by level; totals passed in are used as given."""
-    if tx is None:
-        tx = tt.total_complex(f.source, "normalized")
-    if ty is None:
-        ty = tt.total_complex(f.target, "normalized")
-    fn = tt.level_maps(f, tx, ty)
-    for n in range(f.source.N + 1):
+    return _moore_criterion(*_normal_form(f, tx, ty))
+
+
+def _moore_criterion(tx: tt.TotalComplex, ty: tt.TotalComplex, fn: list[ChainMap]):
+    for n in range(len(fn)):
         # a defect needs Z_nY or H_{n-1}X nonzero in its degree
         degs = set(ty.levels[n].degrees())
         if n >= 1:
@@ -136,44 +148,39 @@ def reedy_fib_witness(
     return None
 
 
-def face_square_witness(f: SimplicialMap):
+def face_square_witness(
+    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
+):
     """First (m, i, degree) where the comparison of X_{m+1} with the
     pullback X_m x_{Y_m} Y_{m+1} over the i-th face is not a
-    quasi-isomorphism: the face d_i of the fiber F = ker f at level m + 1,
-    which has the same cone homology.  Only the kernels and the faces
-    restricted to them are built.  Refuses an f that is not onto at some
-    level, where the fiber does not see the square."""
-    x = f.source
-    kers = [kernel_complex(f.level(n)) for n in range(x.N + 1)]
-    for n in range(x.N + 1):
-        for t in f.target.level(n).degrees():
-            if kers[n][0].dim(t) != x.level(n).dim(t) - f.target.level(n).dim(t):
-                raise ValidationFailure(
-                    f"face squares need f onto at every level; f_{n} is not onto in degree {t}"
-                )
-
-    def face(n: int, i: int) -> ChainMap:
-        return so.factor_through_mono(kers[n - 1][1], x.face(n, i) @ kers[n][1])
-
-    w = _first_face_not_quasi_iso(x.N, face)
-    return None if w is None else (w[0] - 1, w[1], w[2])
+    quasi-isomorphism, read off the normalized fiber ker N_kf; totals passed
+    in are used as given.  Refuses an f that is not onto at some level."""
+    return _face_squares(_normal_form(f, tx, ty)[2])
 
 
-def _first_face_not_quasi_iso(N: int, face):
-    """First (level, face, degree) where face(n, i) is not a
-    quasi-isomorphism, levels 1..N in order."""
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            t = quasi_iso_witness(face(n, i))
-            if t is not None:
-                return (n, i, t)
+def _face_squares(fn: list[ChainMap]):
+    w = _first_failing(fn, epi_witness)
+    if w is not None:
+        raise ValidationFailure(
+            f"face squares need f onto at every level; f_{w[0]} is not onto in degree {w[1]}"
+        )
+    return _first_nonconstant((kernel_complex(m)[0] for m in fn[1:]), first=0)
+
+
+def _first_nonconstant(levels, first: int = 1):
+    """(k, 0, degree) at the first of the normalized levels 1, 2, ... with
+    homology, k counted from ``first``: d_0 fails there, one degree higher."""
+    for k, lvl in enumerate(levels, start=first):
+        h = homology_dims(lvl)
+        if h:
+            return (k, 0, 1 + min(h))
     return None
 
 
 def homotopically_constant_witness(x: SimplicialObject):
     """First (level, face, degree) where a face map fails to be a
     quasi-isomorphism; all degeneracies follow by two-out-of-three."""
-    return _first_face_not_quasi_iso(x.N, x.face)
+    return _first_nonconstant(tt.total_complex(x, "normalized").levels[1:])
 
 
 def is_homotopically_constant(x: SimplicialObject) -> bool:
@@ -232,12 +239,11 @@ def classification_report(c: Classification) -> dict:
 
 def classify(f: SimplicialMap, check_invariant: bool = True) -> Classification:
     wits = {}
-    lw = level_we_witness(f)
-    cw = reedy_cof_witness(f)
-    tx = tt.total_complex(f.source, "normalized")
-    ty = tt.total_complex(f.target, "normalized")
-    fw = reedy_fib_witness(f, tx, ty)
-    sq = face_square_witness(f) if fw is None else None
+    tx, ty, fn = _normal_form(f, None, None)
+    lw = _first_failing(fn, quasi_iso_witness)
+    cw = _first_failing(fn, mono_witness)
+    fw = _moore_criterion(tx, ty, fn)
+    sq = _face_squares(fn) if fw is None else None
     rr = tt.realization_we(f, tx, ty)
     if lw is not None:
         wits["level_we"] = lw

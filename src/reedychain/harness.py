@@ -294,7 +294,8 @@ def check_j_injective_vs_equifibered(
         for label, ok in lf.generator_rlp(pm, families, window, nr, cap)
     ]
     rlp_all = all(r["rlp"] for r in results)
-    equif = cl.reedy_fib_witness(pm) is None and cl.face_square_witness(pm) is None
+    tx, ty = tt.total_complex(pm.source), tt.total_complex(pm.target)
+    equif = cl.reedy_fib_witness(pm, tx, ty) is None and cl.face_square_witness(pm, tx, ty) is None
     violations = []
     if equif and not rlp_all:
         violations = [r for r in results if not r["rlp"]]

@@ -1,4 +1,5 @@
-"""Total complexes of simplicial objects, full and normalized.
+"""Total complexes of simplicial objects, full and normalized, and the
+maps f induces between normalized totals.
 
 The full mode sums every level; the normalized mode first divides each
 level by the span of the degeneracy images, the quotient
@@ -124,12 +125,7 @@ def total_complex(x: SimplicialObject, mode: str = "normalized") -> TotalComplex
 
 
 def level_maps(f: SimplicialMap, tx: TotalComplex, ty: TotalComplex) -> list[ChainMap]:
-    """The maps f induces between the levels of two totals of one mode:
-    X_s -> Y_s, or X_s/D_sX -> Y_s/D_sY."""
-    if tx.mode != ty.mode:
-        raise ValidationFailure(f"total complex modes differ: {tx.mode!r} and {ty.mode!r}")
-    if tx.mode == "full":
-        return [f.level(s) for s in range(f.source.N + 1)]
+    """The maps N_sf: X_s/D_sX -> Y_s/D_sY between two normalized totals."""
     out = []
     for s in range(f.source.N + 1):
         proj_y, _ = ty.witnesses[s]
@@ -143,17 +139,13 @@ def level_maps(f: SimplicialMap, tx: TotalComplex, ty: TotalComplex) -> list[Cha
 
 
 def total_map(
-    f: SimplicialMap,
-    mode: str = "normalized",
-    tx: TotalComplex | None = None,
-    ty: TotalComplex | None = None,
+    f: SimplicialMap, tx: TotalComplex | None = None, ty: TotalComplex | None = None
 ) -> ChainMap:
+    """The map of normalized totals; totals passed in are used as given."""
     if tx is None:
-        tx = total_complex(f.source, mode)
+        tx = total_complex(f.source)
     if ty is None:
-        ty = total_complex(f.target, mode)
-    if tx.mode != mode:
-        raise ValidationFailure(f"total complex mode {tx.mode!r}, expected {mode!r}")
+        ty = total_complex(f.target)
     per_level = level_maps(f, tx, ty)
     blocks = {}
     for n in tx.obj.degrees():
@@ -190,7 +182,7 @@ def realization_we(
         tx = total_complex(f.source, "normalized")
     if ty is None:
         ty = total_complex(f.target, "normalized")
-    wit = quasi_iso_witness(total_map(f, "normalized", tx, ty))
+    wit = quasi_iso_witness(total_map(f, tx, ty))
     top = f.source.N
     exact = top == 0 or (tx.levels[top].is_zero() and ty.levels[top].is_zero())
     return RealizationResult(wit is None, exact, wit)

@@ -215,17 +215,17 @@ def test_classify_decides_face_squares_only_for_fibrations(monkeypatch):
     is not a Reedy fibration gets no face-square check, and a fibration gets
     one, from its fiber, with no pullback built."""
     calls = {"squares": 0, "pullbacks": 0}
-    squares, pullback = cl.face_square_witness, ch.pullback
+    squares, pullback = cl._face_squares, ch.pullback
 
-    def counted_squares(f):
+    def counted_squares(fn):
         calls["squares"] += 1
-        return squares(f)
+        return squares(fn)
 
     def counted_pullback(f, g):
         calls["pullbacks"] += 1
         return pullback(f, g)
 
-    monkeypatch.setattr(cl, "face_square_witness", counted_squares)
+    monkeypatch.setattr(cl, "_face_squares", counted_squares)
     monkeypatch.setattr(ch, "pullback", counted_pullback)
     monkeypatch.setattr(cl, "pullback", counted_pullback)
     c = cl.classify(so.constant_map(2, ch.sphere_disk_inclusion(P, 1)))

@@ -156,7 +156,7 @@ def assert_comparison_iso(y: so.SimplicialObject):
 def assert_natural(f: so.SimplicialMap):
     rx, tx, cx = assert_comparison_iso(f.source)
     ry, ty, cy = assert_comparison_iso(f.target)
-    assert cy @ coend_map(f, rx, ry) == tt.total_map(f, "normalized", tx, ty) @ cx
+    assert cy @ coend_map(f, rx, ry) == tt.total_map(f, tx, ty) @ cx
 
 
 # ---------------------------------------------------------------------------

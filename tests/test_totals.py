@@ -4,10 +4,8 @@ Hand-computed values: the full total of a constant object picks up a
 spurious top class at odd truncation that the degeneracy-normalized total
 removes; the normalized total of a simplex tensor recovers the tensor with
 the simplex chains.  The Moore total from ``test_reedy_oracle`` is checked
-beside the library modes.
+beside the library's normalized total and total map.
 """
-
-from functools import partial
 
 import pytest
 
@@ -72,13 +70,14 @@ def test_normalized_total_of_tensor_is_kunneth():
 
 
 def totals_and_maps():
-    """(total, total map) for each library mode, then the Moore reference."""
-    out = [(partial(tt.total_complex, mode=m), partial(tt.total_map, mode=m)) for m in tt.MODES]
-    return out + [(moore_total, moore_total_map)]
+    """(total, total map): the library's normalized pair, then the Moore
+    reference."""
+    return [(tt.total_complex, tt.total_map), (moore_total, moore_total_map)]
 
 
 def test_total_validates():
     x = so.tensor_with_sset(ch.disk(P, 1), ss.delta(2, 1))
+    ch.validate_complex(tt.total_complex(x, mode="full").obj)
     for total, _ in totals_and_maps():
         ch.validate_complex(total(x).obj)
 
@@ -99,17 +98,10 @@ def test_total_map_identity_and_compose():
         assert comp == total_map(g, tx=ty, ty=ty) @ m
 
 
-def test_level_maps_refuse_mixed_modes():
-    f = so.identity_smap(so.tensor_with_sset(ch.disk(P, 1), ss.delta(2, 1)))
-    tx = tt.total_complex(f.source, mode="full")
-    ty = tt.total_complex(f.target, mode="normalized")
-    assert len(tt.level_maps(f, tx, tx)) == len(tt.level_maps(f, ty, ty)) == 3
+def test_total_complex_refuses_unknown_mode():
+    x = so.tensor_with_sset(ch.disk(P, 1), ss.delta(2, 1))
     with pytest.raises(ValidationFailure):
-        tt.level_maps(f, tx, ty)
-    with pytest.raises(ValidationFailure):
-        tt.total_map(f, "full", ty, ty)
-    with pytest.raises(ValidationFailure):
-        tt.total_complex(f.source, mode="moore")
+        tt.total_complex(x, mode="moore")
 
 
 def test_realization_we_constant_maps():
