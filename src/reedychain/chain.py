@@ -254,31 +254,6 @@ def is_acyclic(x: ChainComplex) -> bool:
     return not homology_dims(x)
 
 
-def _homology_coords(x: ChainComplex, t: int):
-    """Cycle basis, projection onto homology classes, and a linear section."""
-    z = kernel_basis(x.d(t))
-    w = solve(z, x.d(t + 1))
-    if w is None:
-        raise ValidationFailure("boundaries not contained in cycles; complex invalid")
-    proj, sect = quotient_by_columns(w, z.cols)
-    return z, proj, sect
-
-
-def homology_map(f: ChainMap, t: int) -> FpMatrix:
-    """Induced matrix H_t(source) -> H_t(target)."""
-    za, _, secta = _homology_coords(f.source, t)
-    zb, projb, _ = _homology_coords(f.target, t)
-    v = solve(zb, f.block(t) @ za)
-    if v is None:
-        raise ValidationFailure("map does not preserve cycles; not a chain map?")
-    return projb @ v @ secta
-
-
-def homology_map_bijective(f: ChainMap, t: int) -> bool:
-    m = homology_map(f, t)
-    return m.rows == m.cols and m.rank() == m.rows
-
-
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """cone(f)_t = target_t + source_{t-1}, d(b, a) = (d b + f a, -d a)."""
     a, b = f.source, f.target
@@ -302,10 +277,6 @@ def quasi_iso_witness(f: ChainMap) -> int | None:
     """First degree where homology of the cone is nonzero, None if quasi-iso."""
     h = homology_dims(mapping_cone(f))
     return min(h) if h else None
-
-
-def is_mono(f: ChainMap) -> bool:
-    return all(f.block(t).rank() == f.source.dim(t) for t in f.source.degrees())
 
 
 def is_epi(f: ChainMap) -> bool:
@@ -390,44 +361,6 @@ def direct_sum_with_maps(parts: list[ChainComplex]):
         incs.append(ChainMap.build(part, total, iblocks))
         projs.append(ChainMap.build(total, part, pblocks))
     return total, incs, projs
-
-
-def inclusion_map(part: ChainComplex, whole: ChainComplex) -> ChainMap:
-    """Inclusion of ``part`` as the leading direct summand of ``whole``."""
-    blocks = {}
-    for t in part.degrees():
-        m = np.zeros((whole.dim(t), part.dim(t)), dtype=np.int64)
-        m[: part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
-        blocks[t] = FpMatrix(part.p, m)
-    return ChainMap.build(part, whole, blocks)
-
-
-def projection_map(whole: ChainComplex, part: ChainComplex) -> ChainMap:
-    blocks = {}
-    for t in whole.degrees():
-        m = np.zeros((part.dim(t), whole.dim(t)), dtype=np.int64)
-        m[:, : part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
-        blocks[t] = FpMatrix(part.p, m)
-    return ChainMap.build(whole, part, blocks)
-
-
-def extend_by_zero(f: ChainMap, bigger_source: ChainComplex) -> ChainMap:
-    """Extend f along the leading-summand inclusion source -> bigger_source
-    by zero on the complement."""
-    blocks = {}
-    for t in bigger_source.degrees():
-        m = np.zeros((f.target.dim(t), bigger_source.dim(t)), dtype=np.int64)
-        b = f.block(t)
-        m[:, : b.cols] = b.a
-        blocks[t] = FpMatrix(f.p, m)
-    return ChainMap.build(bigger_source, f.target, blocks)
-
-
-def shift_complex(x: ChainComplex, k: int) -> ChainComplex:
-    """Degree shift: (x[k])_t = x_{t-k}, differential scaled by (-1)^k."""
-    sign = -1 if k % 2 else 1
-    diffs = {t + k: x.d(t).scale(sign) for t in x.degrees()}
-    return ChainComplex.build(x.p, x.lo + k, list(x.dims), diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +495,37 @@ def pullback_mediator(res: SpanResult, u: ChainMap, v: ChainMap) -> ChainMap:
 # hom and tensor
 
 
-def _hom_layout(a: ChainComplex, b: ChainComplex, t: int):
-    """Blocks of Hom(a, b)_t as (s, rows=dim b_{s+t}, cols=dim a_s, offset),
-    s ascending."""
-    out = []
-    off = 0
-    for s in a.degrees():
-        r, c = b.dim(s + t), a.dim(s)
-        if r and c:
-            out.append((s, r, c, off))
-            off += r * c
-    return out
+def _block_map(p: int, sources, targets) -> FpMatrix:
+    """Matrix of a linear map between sums of matrix blocks.  The source
+    blocks X_s are given as (s, rows, cols) and become the unknowns (s,);
+    each target block is (shape, terms), the sum of sign * L X_s R over its
+    (key, L, R, sign) terms.  BlockSystem assembles it, row-major block by
+    block in the order given."""
+    sys = BlockSystem(p)
+    for s, r, c in sources:
+        sys.add_unknown((s,), r, c)
+    for shape, terms in targets:
+        sys.add_equation(shape, terms)
+    return sys.matrix()
+
+
+def _hom_blocks(a: ChainComplex, b: ChainComplex, t: int):
+    """The nonzero blocks f_s : a_s -> b_{s+t} of Hom(a, b)_t as
+    (s, dim b_{s+t}, dim a_s), s ascending."""
+    return [(s, b.dim(s + t), a.dim(s)) for s in a.degrees() if b.dim(s + t) and a.dim(s)]
+
+
+def _hom_d(key: tuple, a: ChainComplex, b: ChainComplex, t: int):
+    """The blocks of delta f in Hom(a, b)_{t-1} for f in Hom(a, b)_t, whose
+    f_s is the unknown key + (s,): (delta f)_s = d_b f_s - (-1)^t f_{s-1} d_a."""
+    sign = 1 if t % 2 else -1
+    return [
+        (
+            (b.dim(s + t - 1), a.dim(s)),
+            [(key + (s,), b.d(s + t), None, 1), (key + (s - 1,), None, a.d(s), sign)],
+        )
+        for s in a.degrees()
+    ]
 
 
 def hom_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
@@ -585,61 +538,27 @@ def hom_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
         return zero_complex(p)
     lo = b.lo - a.hi
     hi = b.hi - a.lo
-    layouts = {t: _hom_layout(a, b, t) for t in range(lo, hi + 1)}
-    dims = [sum(r * c for _, r, c, _ in layouts[t]) for t in range(lo, hi + 1)]
-    diffs = {}
-    sgn = {t: (-1) ** (t % 2) for t in range(lo, hi + 1)}
-    for t in range(lo + 1, hi + 1):
-        rows = dims[t - 1 - lo]
-        cols = dims[t - lo]
-        if rows == 0 or cols == 0:
-            continue
-        m = np.zeros((rows, cols), dtype=np.int64)
-        tgt_off = {s: off for s, _, _, off in layouts[t - 1]}
-        tgt_shape = {s: (r, c) for s, r, c, _ in layouts[t - 1]}
-        for s, r, c, off in layouts[t]:
-            # d_b compose f_s lands in block s of degree t-1
-            if s in tgt_off:
-                db = b.d(s + t)
-                blk = np.kron(db.a, np.eye(c, dtype=np.int64))
-                tr, tc = tgt_shape[s]
-                m[tgt_off[s] : tgt_off[s] + tr * tc, off : off + r * c] += blk
-            # f_s compose d_a lands in block s... the term -(-1)^t f_{s-1} d_a
-            # contributes from unknown block s-1; equivalently block s of the
-            # source contributes to target block s+1 via right-multiplication
-            if s + 1 in tgt_off:
-                da = a.d(s + 1)
-                blk = np.kron(np.eye(b.dim(s + t), dtype=np.int64), da.a.T)
-                sign = (-sgn[t]) % p
-                tr, tc = tgt_shape[s + 1]
-                m[tgt_off[s + 1] : tgt_off[s + 1] + tr * tc, off : off + r * c] += (
-                    sign * blk
-                )
-        diffs[t] = FpMatrix(p, m)
+    blocks = {t: _hom_blocks(a, b, t) for t in range(lo, hi + 1)}
+    dims = [sum(r * c for _, r, c in blocks[t]) for t in range(lo, hi + 1)]
+    diffs = {t: _block_map(p, blocks[t], _hom_d((), a, b, t)) for t in range(lo + 1, hi + 1)}
     return ChainComplex.build(p, lo, dims, diffs)
 
 
 def hom_precompose(
     a: ChainComplex, b: ChainComplex, g: ChainMap, h1: ChainComplex, h2: ChainComplex
 ) -> ChainMap:
-    """Hom(a, c) -> Hom(source of g, c) induced by g : src -> a ... precisely:
-    given g : a' -> a, the chain map Hom(a, b) -> Hom(a', b), f -> f g,
+    """Given g : a' -> a, the chain map Hom(a, b) -> Hom(a', b), f -> f g,
     between h1 = hom_complex(a, b) and h2 = hom_complex(a', b)."""
     aprime = g.source
     if g.target != a:
         raise ValidationFailure("precomposition target mismatch")
     blocks = {}
     for t in h1.degrees():
-        lay1 = _hom_layout(a, b, t)
-        lay2 = _hom_layout(aprime, b, t)
-        off2 = {s: (off, r, c) for s, r, c, off in lay2}
-        m = np.zeros((h2.dim(t), h1.dim(t)), dtype=np.int64)
-        for s, r, c, off in lay1:
-            if s in off2:
-                o2, r2, c2 = off2[s]
-                blk = np.kron(np.eye(r, dtype=np.int64), g.block(s).a.T)
-                m[o2 : o2 + r2 * c2, off : off + r * c] += blk
-        blocks[t] = FpMatrix(h1.p, m)
+        targets = [
+            ((b.dim(s + t), aprime.dim(s)), [((s,), None, g.block(s), 1)])
+            for s in aprime.degrees()
+        ]
+        blocks[t] = _block_map(h1.p, _hom_blocks(a, b, t), targets)
     return ChainMap.build(h1, h2, blocks)
 
 
@@ -651,61 +570,45 @@ def hom_postcompose(
     b, bprime = g.source, g.target
     blocks = {}
     for t in h1.degrees():
-        lay1 = _hom_layout(a, b, t)
-        lay2 = _hom_layout(a, bprime, t)
-        off2 = {s: (off, r, c) for s, r, c, off in lay2}
-        m = np.zeros((h2.dim(t), h1.dim(t)), dtype=np.int64)
-        for s, r, c, off in lay1:
-            if s in off2:
-                o2, r2, c2 = off2[s]
-                blk = np.kron(g.block(s + t).a, np.eye(c, dtype=np.int64))
-                m[o2 : o2 + r2 * c2, off : off + r * c] += blk
-        blocks[t] = FpMatrix(h1.p, m)
+        targets = [
+            ((bprime.dim(s + t), a.dim(s)), [((s,), g.block(s + t), None, 1)])
+            for s in a.degrees()
+        ]
+        blocks[t] = _block_map(h1.p, _hom_blocks(a, b, t), targets)
     return ChainMap.build(h1, h2, blocks)
 
 
-def _tensor_layout(a: ChainComplex, b: ChainComplex, n: int):
-    out = []
-    off = 0
-    for s in a.degrees():
-        r, c = a.dim(s), b.dim(n - s)
-        if r and c:
-            out.append((s, r, c, off))
-            off += r * c
-    return out
+def _tensor_blocks(a: ChainComplex, b: ChainComplex, n: int):
+    """The nonzero blocks a_s tensor b_{n-s} of (a tensor b)_n as
+    (s, dim a_s, dim b_{n-s}), s ascending; x tensor y is the matrix x y^T."""
+    return [(s, a.dim(s), b.dim(n - s)) for s in a.degrees() if a.dim(s) and b.dim(n - s)]
 
 
 def tensor_complexes(a: ChainComplex, b: ChainComplex) -> ChainComplex:
-    """(a tensor b)_n = sum over s of a_s tensor b_{n-s}, with the usual
-    Koszul sign on the second factor."""
+    """(a tensor b)_n = sum over s of a_s tensor b_{n-s}, with
+    d(x tensor y) = dx tensor y + (-1)^s x tensor dy."""
     p = a.p
     if b.p != p:
         raise FieldMismatchError("tensor over different primes")
     if a.is_zero() or b.is_zero():
         return zero_complex(p)
     lo, hi = a.lo + b.lo, a.hi + b.hi
-    layouts = {n: _tensor_layout(a, b, n) for n in range(lo, hi + 1)}
-    dims = [sum(r * c for _, r, c, _ in layouts[n]) for n in range(lo, hi + 1)]
+    blocks = {n: _tensor_blocks(a, b, n) for n in range(lo, hi + 1)}
+    dims = [sum(r * c for _, r, c in blocks[n]) for n in range(lo, hi + 1)]
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        rows, cols = dims[n - 1 - lo], dims[n - lo]
-        if rows == 0 or cols == 0:
-            continue
-        m = np.zeros((rows, cols), dtype=np.int64)
-        tgt = {s: (off, r, c) for s, r, c, off in layouts[n - 1]}
-        for s, r, c, off in layouts[n]:
-            # d_a tensor id : block s -> block s-1
-            if s - 1 in tgt:
-                o, tr, tc = tgt[s - 1]
-                blk = np.kron(a.d(s).a, np.eye(c, dtype=np.int64))
-                m[o : o + tr * tc, off : off + r * c] += blk
-            # (-1)^s id tensor d_b : block s -> block s
-            if s in tgt:
-                o, tr, tc = tgt[s]
-                sign = ((-1) ** (s % 2)) % p
-                blk = np.kron(np.eye(r, dtype=np.int64), b.d(n - s).a)
-                m[o : o + tr * tc, off : off + r * c] += sign * blk
-        diffs[n] = FpMatrix(p, m)
+        # block s of degree n - 1 receives d_a X_{s+1} and (-1)^s X_s d_b^T
+        targets = [
+            (
+                (a.dim(s), b.dim(n - 1 - s)),
+                [
+                    ((s + 1,), a.d(s + 1), None, 1),
+                    ((s,), None, b.d(n - s).transpose(), -1 if s % 2 else 1),
+                ],
+            )
+            for s in a.degrees()
+        ]
+        diffs[n] = _block_map(p, blocks[n], targets)
     return ChainComplex.build(p, lo, dims, diffs)
 
 
@@ -715,16 +618,14 @@ def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = tensor_complexes(f.target, g.target)
     blocks = {}
     for n in src.degrees():
-        lay_s = _tensor_layout(f.source, g.source, n)
-        lay_t = _tensor_layout(f.target, g.target, n)
-        tgt_off = {s: (off, r, c) for s, r, c, off in lay_t}
-        m = np.zeros((tgt.dim(n), src.dim(n)), dtype=np.int64)
-        for s, r, c, off in lay_s:
-            if s in tgt_off:
-                o, tr, tc = tgt_off[s]
-                blk = np.kron(f.block(s).a, g.block(n - s).a)
-                m[o : o + tr * tc, off : off + r * c] += blk
-        blocks[n] = FpMatrix(src.p, m)
+        targets = [
+            (
+                (f.target.dim(s), g.target.dim(n - s)),
+                [((s,), f.block(s), g.block(n - s).transpose(), 1)],
+            )
+            for s in f.target.degrees()
+        ]
+        blocks[n] = _block_map(src.p, _tensor_blocks(f.source, g.source, n), targets)
     return ChainMap.build(src, tgt, blocks)
 
 
@@ -736,14 +637,10 @@ def add_chain_maps(sys: BlockSystem, key: tuple, a: ChainComplex, b: ChainComple
     """Add the blocks of a chain map f : a -> b to ``sys``: the unknowns
     key + (t,) of shape (dim b_t, dim a_t), in ascending degree where both
     are nonzero, and the equations d f_t = f_{t-1} d."""
-    for t in a.degrees():
-        if a.dim(t) and b.dim(t):
-            sys.add_unknown(key + (t,), b.dim(t), a.dim(t))
-    for t in sorted(set(a.degrees()) | set(b.degrees())):
-        sys.add_equation(
-            (b.dim(t - 1), a.dim(t)),
-            [(key + (t,), b.d(t), None, 1), (key + (t - 1,), None, a.d(t), -1)],
-        )
+    for t, r, c in _hom_blocks(a, b, 0):
+        sys.add_unknown(key + (t,), r, c)
+    for shape, terms in _hom_d(key, a, b, 0):  # chain maps are the 0-cycles of Hom
+        sys.add_equation(shape, terms)
 
 
 def chain_map_space(a: ChainComplex, b: ChainComplex):
@@ -753,10 +650,6 @@ def chain_map_space(a: ChainComplex, b: ChainComplex):
     sys = BlockSystem(a.p)
     add_chain_maps(sys, (), a, b)
     return sys.kernel(), sys
-
-
-def chain_map_space_dim(a: ChainComplex, b: ChainComplex) -> int:
-    return chain_map_space(a, b)[0].cols
 
 
 def chain_map_from_vector(a, b, vec: FpMatrix, sys: BlockSystem) -> ChainMap:

@@ -59,7 +59,7 @@ from .chain import (
 )
 from .errors import InternalInvariantError, ValidationFailure
 from .linalg import eye, hstack, kernel_basis
-from .sobj import SimplicialMap, SimplicialObject
+from .sobj import SimplicialMap
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,10 @@ def reedy_cof_witness(f: SimplicialMap):
     return _first_failing(f.levels, mono_witness)
 
 
-def _normal_form(f: SimplicialMap, tx: tt.TotalComplex | None, ty: tt.TotalComplex | None):
-    """Both normalized totals, built unless passed in, and the N_nf."""
-    if tx is None:
-        tx = tt.total_complex(f.source, "normalized")
-    if ty is None:
-        ty = tt.total_complex(f.target, "normalized")
+def normal_form(f: SimplicialMap):
+    """Both normalized totals of f and the level maps N_nf between them."""
+    tx = tt.total_complex(f.source, "normalized")
+    ty = tt.total_complex(f.target, "normalized")
     return tx, ty, tt.level_maps(f, tx, ty)
 
 
@@ -116,14 +114,13 @@ def _cycles(tot: tt.TotalComplex, n: int, t: int):
     return kernel_basis(tot.dprimes[n - 1].block(t))
 
 
-def reedy_fib_witness(
-    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
-):
+def reedy_fib_witness(f: SimplicialMap, nf=None):
     """(level, degree) of the first failure of Moore's criterion: f maps
     Z_nX onto Z_nY and, for n >= 1, is injective on H_{n-1}.  Read off the
     normalized totals, which are naturally isomorphic to the Moore
-    complexes level by level; totals passed in are used as given."""
-    return _moore_criterion(*_normal_form(f, tx, ty))
+    complexes level by level; a ``normal_form(f)`` passed in is used as
+    given."""
+    return _moore_criterion(*(normal_form(f) if nf is None else nf))
 
 
 def _moore_criterion(tx: tt.TotalComplex, ty: tt.TotalComplex, fn: list[ChainMap]):
@@ -148,14 +145,13 @@ def _moore_criterion(tx: tt.TotalComplex, ty: tt.TotalComplex, fn: list[ChainMap
     return None
 
 
-def face_square_witness(
-    f: SimplicialMap, tx: tt.TotalComplex | None = None, ty: tt.TotalComplex | None = None
-):
+def face_square_witness(f: SimplicialMap, nf=None):
     """First (m, i, degree) where the comparison of X_{m+1} with the
     pullback X_m x_{Y_m} Y_{m+1} over the i-th face is not a
-    quasi-isomorphism, read off the normalized fiber ker N_kf; totals passed
-    in are used as given.  Refuses an f that is not onto at some level."""
-    return _face_squares(_normal_form(f, tx, ty)[2])
+    quasi-isomorphism, read off the normalized fiber ker N_kf; a
+    ``normal_form(f)`` passed in is used as given.  Refuses an f that is
+    not onto at some level."""
+    return _face_squares((normal_form(f) if nf is None else nf)[2])
 
 
 def _face_squares(fn: list[ChainMap]):
@@ -175,16 +171,6 @@ def _first_nonconstant(levels, first: int = 1):
         if h:
             return (k, 0, 1 + min(h))
     return None
-
-
-def homotopically_constant_witness(x: SimplicialObject):
-    """First (level, face, degree) where a face map fails to be a
-    quasi-isomorphism; all degeneracies follow by two-out-of-three."""
-    return _first_nonconstant(tt.total_complex(x, "normalized").levels[1:])
-
-
-def is_homotopically_constant(x: SimplicialObject) -> bool:
-    return homotopically_constant_witness(x) is None
 
 
 @dataclass(frozen=True)
@@ -214,9 +200,10 @@ class Classification:
         return self.realization.flag
 
 
-def _jsonable_witness(w):
+def jsonable_witness(w):
+    """A witness with its tuples turned into lists, as reports carry it."""
     if isinstance(w, tuple):
-        return [_jsonable_witness(v) for v in w]
+        return [jsonable_witness(v) for v in w]
     return w
 
 
@@ -232,19 +219,19 @@ def classification_report(c: Classification) -> dict:
         "reedy_trivial_cof": c.reedy_trivial_cof,
         "reedy_trivial_fib": c.reedy_trivial_fib,
         "witnesses": {
-            k: _jsonable_witness(v) for k, v in sorted(c.witnesses.items())
+            k: jsonable_witness(v) for k, v in sorted(c.witnesses.items())
         },
     }
 
 
 def classify(f: SimplicialMap, check_invariant: bool = True) -> Classification:
     wits = {}
-    tx, ty, fn = _normal_form(f, None, None)
+    tx, ty, fn = normal_form(f)
     lw = _first_failing(fn, quasi_iso_witness)
     cw = _first_failing(fn, mono_witness)
     fw = _moore_criterion(tx, ty, fn)
     sq = _face_squares(fn) if fw is None else None
-    rr = tt.realization_we(f, tx, ty)
+    rr = tt.realization_we(f, tx, ty, fn)
     if lw is not None:
         wits["level_we"] = lw
     if cw is not None:

@@ -21,12 +21,6 @@ from .errors import ValidationFailure
 CHECKS = ("sm7", "realization-axiom", "lem-match", "prop-proof", "prop-i-cof")
 
 
-def _jsonable(w):
-    if isinstance(w, tuple):
-        return [_jsonable(v) for v in w]
-    return w
-
-
 def _status(violations) -> str:
     return "violation" if violations else "ok"
 
@@ -70,11 +64,11 @@ def check_sm7(f: so.SimplicialMap, i: ss.SSetMap, structure: str) -> dict:
     violations = []
     parts = {"cofibration": cof is None, "trivial": None, "weq": None}
     if cof is not None:
-        violations.append({"part": 1, "witness": _jsonable(cof)})
+        violations.append({"part": 1, "witness": cl.jsonable_witness(cof)})
     if cl.level_we_witness(f) is None:
         parts["trivial"] = lw is None
         if lw is not None:
-            violations.append({"part": 2, "witness": _jsonable(lw)})
+            violations.append({"part": 2, "witness": cl.jsonable_witness(lw)})
 
     expected_failure = False
     part3 = "skipped:unknown-weq" if i.weq is None else "skipped:not-weq"
@@ -84,7 +78,7 @@ def check_sm7(f: so.SimplicialMap, i: ss.SSetMap, structure: str) -> dict:
             parts["weq"] = rr.we
             part3 = "asserted"
             if not rr.we:
-                violations.append({"part": 3, "witness": _jsonable(rr.witness), "flag": rr.flag})
+                violations.append({"part": 3, "witness": cl.jsonable_witness(rr.witness), "flag": rr.flag})
         else:
             parts["weq"] = lw is None
             part3 = "reported"
@@ -178,7 +172,7 @@ def check_realization_axiom(
             return {"in_scope": False, "violations": []}
         if c.level_we:
             return {"in_scope": True, "violations": []}
-        witness = _jsonable(c.witnesses.get("level_we"))
+        witness = cl.jsonable_witness(c.witnesses.get("level_we"))
         return {"in_scope": True, "violations": [{"seed": s, "witness": witness}]}
 
     def extra(rows):
@@ -252,9 +246,9 @@ def check_prop_i_cof(
         c = classifier(f, check_invariant=False)
         out = []
         if c.reedy_trivial_fib and not c.equifibered:
-            out.append({"seed": s, "clause": "equifibered", "witness": _jsonable(c.witnesses.get("equifibered"))})
+            out.append({"seed": s, "clause": "equifibered", "witness": cl.jsonable_witness(c.witnesses.get("equifibered"))})
         if c.reedy_trivial_fib and not c.realization_we:
-            out.append({"seed": s, "clause": "realization", "witness": _jsonable(c.witnesses.get("realization_we"))})
+            out.append({"seed": s, "clause": "realization", "witness": cl.jsonable_witness(c.witnesses.get("realization_we"))})
         return {"violations": out}
 
     return _suite("prop-i-cof", p, N, samples, seed, trial)
@@ -294,8 +288,8 @@ def check_j_injective_vs_equifibered(
         for label, ok in lf.generator_rlp(pm, families, window, nr, cap)
     ]
     rlp_all = all(r["rlp"] for r in results)
-    tx, ty = tt.total_complex(pm.source), tt.total_complex(pm.target)
-    equif = cl.reedy_fib_witness(pm, tx, ty) is None and cl.face_square_witness(pm, tx, ty) is None
+    nf = cl.normal_form(pm)
+    equif = cl.reedy_fib_witness(pm, nf) is None and cl.face_square_witness(pm, nf) is None
     violations = []
     if equif and not rlp_all:
         violations = [r for r in results if not r["rlp"]]

@@ -94,10 +94,6 @@ def constant(N: int, a: ChainComplex) -> SimplicialObject:
     )
 
 
-def ev0(x: SimplicialObject) -> ChainComplex:
-    return x.levels[0]
-
-
 def validate_sobj(x: SimplicialObject):
     if len(x.levels) != x.N + 1 or len(x.faces) != x.N or len(x.degens) != x.N:
         raise ValidationFailure("level or operator count does not match N")

@@ -391,10 +391,6 @@ def degenerate_indices(x: SSet, m: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def is_degenerate(x: SSet, m: int, idx: int) -> bool:
-    return idx in degenerate_indices(x, m)
-
-
 def nondegenerate_indices(x: SSet, m: int) -> tuple[int, ...]:
     bad = degenerate_indices(x, m)
     return tuple(i for i in range(x.card(m)) if i not in bad)
@@ -510,10 +506,3 @@ def normalized_chains_map(f: SSetMap, p: int) -> ChainMap:
         blocks[m] = FpMatrix(p, mat)
     return ChainMap.build(src, tgt, blocks)
 
-
-def operator_action(x: SSet, alpha: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Index map X_n -> X_m for monotone alpha: [m] -> [n], both within the
-    truncation."""
-    if n > x.N or len(alpha) - 1 > x.N:
-        raise ValidationFailure("operator action outside the truncation")
-    return apply_path(x, factor_monotone(tuple(alpha), n), range(x.card(n)))

@@ -11,7 +11,10 @@ sit in the order they were added, and ``blocks_from_vector`` and
 ``vector_from_blocks`` are the only translations between ambient vectors and
 blocks.  The chain-map and simplicial-map builders (``chain.add_chain_maps``,
 ``sobj.add_smaps``) fill it for chain-map spaces, lifting problems and
-simplicial hom spaces.
+simplicial hom spaces, and the hom and tensor complexes of ``chain``
+(differentials, pre- and post-composition, tensors of maps) read their
+matrices off ``matrix()``: source blocks are the unknowns, and each target
+block is one equation whose terms are the L @ X @ R that land in it.
 """
 
 from __future__ import annotations
@@ -89,13 +92,21 @@ class BlockSystem:
                 kr, kc, off = self._unknowns[key]
                 l_arr = left.a if left is not None else np.eye(r, dtype=np.int64)
                 r_arr = right.a.T if right is not None else np.eye(c, dtype=np.int64)
-                a[row : row + size, off : off + kr * kc] += sign * np.kron(l_arr, r_arr)
+                # kron(L, R^T) as one broadcast product: entry (i c + j, k kc + m)
+                # is L[i, k] R[m, j]
+                blk = (l_arr[:, None, :, None] * r_arr[None, :, None, :]).reshape(size, kr * kc)
+                a[row : row + size, off : off + kr * kc] += sign * blk
             if rhs is not None:
                 b[row : row + size, 0] = rhs.a.reshape(-1)
             row += size
         a %= self.p
         b %= self.p
         return FpMatrix(self.p, a), FpMatrix(self.p, b)
+
+    def matrix(self) -> FpMatrix:
+        """The coefficient matrix: a row per equation entry and a column per
+        unknown entry, each row-major in the order added."""
+        return self._assemble()[0]
 
     def solve(self):
         """Deterministic solution as {key: FpMatrix}, or None if inconsistent."""

@@ -139,14 +139,19 @@ def level_maps(f: SimplicialMap, tx: TotalComplex, ty: TotalComplex) -> list[Cha
 
 
 def total_map(
-    f: SimplicialMap, tx: TotalComplex | None = None, ty: TotalComplex | None = None
+    f: SimplicialMap,
+    tx: TotalComplex | None = None,
+    ty: TotalComplex | None = None,
+    per_level: list[ChainMap] | None = None,
 ) -> ChainMap:
-    """The map of normalized totals; totals passed in are used as given."""
+    """The map of normalized totals; totals and their ``level_maps`` passed
+    in are used as given."""
     if tx is None:
         tx = total_complex(f.source)
     if ty is None:
         ty = total_complex(f.target)
-    per_level = level_maps(f, tx, ty)
+    if per_level is None:
+        per_level = level_maps(f, tx, ty)
     blocks = {}
     for n in tx.obj.degrees():
         m = np.zeros((ty.obj.dim(n), tx.obj.dim(n)), dtype=np.int64)
@@ -174,15 +179,19 @@ class RealizationResult:
 
 
 def realization_we(
-    f: SimplicialMap, tx: TotalComplex | None = None, ty: TotalComplex | None = None
+    f: SimplicialMap,
+    tx: TotalComplex | None = None,
+    ty: TotalComplex | None = None,
+    per_level: list[ChainMap] | None = None,
 ) -> RealizationResult:
-    """Realization verdict on f.  Normalized totals passed in are used as
-    given, so a caller that already built them shares them."""
+    """Realization verdict on f.  Normalized totals and their
+    ``level_maps`` passed in are used as given, so a caller that already
+    built them shares them."""
     if tx is None:
         tx = total_complex(f.source, "normalized")
     if ty is None:
         ty = total_complex(f.target, "normalized")
-    wit = quasi_iso_witness(total_map(f, tx, ty))
+    wit = quasi_iso_witness(total_map(f, tx, ty, per_level))
     top = f.source.N
     exact = top == 0 or (tx.levels[top].is_zero() and ty.levels[top].is_zero())
     return RealizationResult(wit is None, exact, wit)

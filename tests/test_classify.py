@@ -24,10 +24,12 @@ import pytest
 from reedychain import chain as ch
 from reedychain import classify as cl
 from reedychain import dold_kan as dk
+from reedychain import harness as hn
 from reedychain import realize as rz
 from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
+from test_reedy_oracle import homotopically_constant_witness
 
 P = 7
 
@@ -113,15 +115,15 @@ def test_projection_with_nonconstant_fiber_is_not_equifibered():
 
 
 def test_homotopically_constant():
-    assert cl.is_homotopically_constant(so.constant(2, ch.direct_sum([sph(0), sph(2)])))
-    assert cl.is_homotopically_constant(rz.sing(sph(1), 2))
-    assert not cl.is_homotopically_constant(so.tensor_with_sset(sph(0), ss.delta(2, 1)))
+    assert homotopically_constant_witness(so.constant(2, ch.direct_sum([sph(0), sph(2)]))) is None
+    assert homotopically_constant_witness(rz.sing(sph(1), 2)) is None
+    assert homotopically_constant_witness(so.tensor_with_sset(sph(0), ss.delta(2, 1))) is not None
     z = ch.zero_complex(P)
     w = dk.dold_kan(
         [z, sph(1), sph(1)], [ch.zero_map(sph(1), z), ch.identity_map(sph(1))]
     ).obj
     # the cone over S^1 -> 0 first shows homology at degree 2
-    assert cl.homotopically_constant_witness(w) == (1, 0, 2)
+    assert homotopically_constant_witness(w) == (1, 0, 2)
 
 
 def test_pushout_product_counterexample():
@@ -208,6 +210,27 @@ def test_classify_builds_each_total_once(monkeypatch):
     c = cl.classify(f)
     assert calls == ["normalized", "normalized"]
     assert c.reedy_cof and c.realization_we
+
+
+def test_classify_and_the_j_check_build_the_level_maps_once(monkeypatch):
+    """The level maps N_nf of the normal form serve every verdict read off
+    it: classify builds them once, realization included, and so does the
+    equifibered verdict of the J check."""
+    calls = []
+    build = tt.level_maps
+
+    def counted(f, tx, ty):
+        calls.append(f)
+        return build(f, tx, ty)
+
+    monkeypatch.setattr(tt, "level_maps", counted)
+    f = rz.sing_map(proj_with_fiber(sph(1), sph(0)), 2)
+    c = cl.classify(f)
+    assert c.reedy_fib and c.equifibered and "realization_we" in c.witnesses
+    assert calls == [f]
+    rep = hn.check_j_injective_vs_equifibered(f, window=(0, 1), n_range=(0, 1))
+    assert rep["equifibered"]
+    assert calls == [f, f]
 
 
 def test_classify_decides_face_squares_only_for_fibrations(monkeypatch):

@@ -14,6 +14,7 @@ from reedychain import dold_kan as dk
 from reedychain import sobj as so
 from reedychain import totals as tt
 from reedychain.errors import ValidationFailure
+from test_chain import projection_map
 from test_reedy_oracle import moore_total
 
 P = 7
@@ -23,7 +24,7 @@ def moore_example():
     m0 = ch.sphere(P, 0)
     m1 = ch.direct_sum([ch.sphere(P, 0), ch.sphere(P, 0)])
     m2 = ch.sphere(P, 0)
-    d1 = ch.projection_map(m1, m0)  # kills the second copy
+    d1 = projection_map(m1, m0)  # kills the second copy
     d2 = ch.ChainMap.build(
         m2, m1, {0: ch.identity_map(m1).block(0).column(1)}
     )  # hits the second copy

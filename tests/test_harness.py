@@ -97,11 +97,11 @@ def sm7_from_classifications(f, i, cf, cb, structure: str) -> dict:
     violations = []
     parts = {"cofibration": cb.reedy_cof, "trivial": None, "weq": None}
     if not cb.reedy_cof:
-        violations.append({"part": 1, "witness": hn._jsonable(cb.witnesses.get("reedy_cof"))})
+        violations.append({"part": 1, "witness": cl.jsonable_witness(cb.witnesses.get("reedy_cof"))})
     if cf.level_we:
         parts["trivial"] = cb.level_we
         if not cb.level_we:
-            violations.append({"part": 2, "witness": hn._jsonable(cb.witnesses.get("level_we"))})
+            violations.append({"part": 2, "witness": cl.jsonable_witness(cb.witnesses.get("level_we"))})
     expected_failure = False
     part3 = "skipped:unknown-weq" if i.weq is None else "skipped:not-weq"
     if i.weq is True and structure == "realization":
@@ -111,7 +111,7 @@ def sm7_from_classifications(f, i, cf, cb, structure: str) -> dict:
             violations.append(
                 {
                     "part": 3,
-                    "witness": hn._jsonable(cb.witnesses.get("realization_we")),
+                    "witness": cl.jsonable_witness(cb.witnesses.get("realization_we")),
                     "flag": cb.realization_flag,
                 }
             )

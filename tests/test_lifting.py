@@ -13,7 +13,7 @@ Hand-derived facts frozen first:
 
 import numpy as np
 import pytest
-from test_chain import rand_complex, rand_map
+from test_chain import extend_by_zero, inclusion_map, projection_map, rand_complex, rand_map
 
 from reedychain import chain as ch
 from reedychain import lifting as lf
@@ -86,15 +86,15 @@ def test_rlp_mono_against_trivial_epi():
         r = np.random.default_rng(200 + seed)
         a = rand_complex(r)
         b = ch.direct_sum([a, ch.disk(P, 1)])
-        i = ch.inclusion_map(a, b)
+        i = inclusion_map(a, b)
         x = rand_complex(r)
         acyc = ch.disk(P, 0)
         xa = ch.direct_sum([x, acyc])
-        p_map = ch.projection_map(xa, x)
+        p_map = projection_map(xa, x)
         assert ch.is_quasi_iso(p_map) and ch.is_epi(p_map)
         top = rand_map(r, a, xa)
         # p top is defined on a; extend it by zero to b for the bottom
-        bot_b = ch.extend_by_zero(p_map @ top, b)
+        bot_b = extend_by_zero(p_map @ top, b)
         pr = lf.LiftingProblem(*(so.constant_map(0, f) for f in (i, p_map, top, bot_b)))
         ok, h = lf.rlp(pr)
         assert ok

@@ -13,6 +13,7 @@ from reedychain import realize as rz
 from reedychain import sobj as so
 from reedychain import ssets as ss
 from reedychain import totals as tt
+from test_chain import projection_map
 from test_realize_oracle import is_skeletal
 
 P = 7
@@ -76,7 +77,7 @@ def test_sing_total_recovers_homology():
 
 def test_sing_map_of_epi_is_levelwise_epi():
     whole = ch.direct_sum([ch.sphere(P, 1), ch.disk(P, 1)])
-    g = ch.projection_map(whole, ch.sphere(P, 1))
+    g = projection_map(whole, ch.sphere(P, 1))
     sm = rz.sing_map(g, 2)
     so.validate_smap(sm)
     for n in range(3):

@@ -112,17 +112,22 @@ def summand_comparison(y: so.SimplicialObject, n: int, tot: tt.TotalComplex) -> 
     for d in src.degrees():
         m = np.zeros((tot.obj.dim(d), src.dim(d)), dtype=np.int64)
         rows = {(k, t): off for k, t, _, off in tot.layout.get(d, ())}
-        # column of y_i tensor theta_j in the t-block: off + i * c + j
-        for t, r, c, off in ch._tensor_layout(y.level(n), chains, d):
+        # the nonzero blocks y_t tensor chains_{d-t} in ascending t; the column
+        # of y_i tensor theta_j in a block at offset off is off + i * c + j
+        off = 0
+        for t in y.level(n).degrees():
+            r, c = y.level(n).dim(t), chains.dim(d - t)
+            if not (r and c):
+                continue
             k = d - t
-            if (k, t) not in rows:
-                continue  # N_k Y vanishes in degree t
-            o = rows[(k, t)]
-            to_normalized = tot.witnesses[k][0].block(t)
-            sign = -1 if (t * k) % 2 else 1
-            for j, idx in enumerate(ss.nondegenerate_indices(shape, k)):
-                img = to_normalized @ structure_map(y, shape.label(k, idx), n).block(t)
-                m[o : o + img.rows, off + j : off + r * c : c] = sign * img.a
+            if (k, t) in rows:  # else N_k Y vanishes in degree t
+                o = rows[(k, t)]
+                to_normalized = tot.witnesses[k][0].block(t)
+                sign = -1 if (t * k) % 2 else 1
+                for j, idx in enumerate(ss.nondegenerate_indices(shape, k)):
+                    img = to_normalized @ structure_map(y, shape.label(k, idx), n).block(t)
+                    m[o : o + img.rows, off + j : off + r * c : c] = sign * img.a
+            off += r * c
         blocks[d] = FpMatrix(p, m)
     return ch.ChainMap.build(src, tot.obj, blocks)
 

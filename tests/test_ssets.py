@@ -87,11 +87,20 @@ def test_product_counts():
     assert ch.homology_dims(c) == {0: 1}
 
 
+def operator_action(x, alpha, n):
+    """Index map X_n -> X_m of monotone alpha: [m] -> [n], both within the
+    truncation: ``ss.apply_path`` along ``ss.factor_monotone``."""
+    if n > x.N or len(alpha) - 1 > x.N:
+        raise ValidationFailure("operator action outside the truncation")
+    return ss.apply_path(x, ss.factor_monotone(tuple(alpha), n), range(x.card(n)))
+
+
 def test_is_degenerate():
     x = ss.delta(2, 1)
-    assert ss.is_degenerate(x, 1, x.index_of(1, (0, 0)))
-    assert ss.is_degenerate(x, 1, x.index_of(1, (1, 1)))
-    assert not ss.is_degenerate(x, 1, x.index_of(1, (0, 1)))
+    degenerate = ss.degenerate_indices(x, 1)
+    assert x.index_of(1, (0, 0)) in degenerate
+    assert x.index_of(1, (1, 1)) in degenerate
+    assert x.index_of(1, (0, 1)) not in degenerate
     assert ss.nondegenerate_indices(x, 2) == ()
 
 
@@ -100,7 +109,7 @@ def test_operator_action_is_precomposition():
     for n in range(4):
         for m in range(4):
             for alpha in ss.monotone_maps(m, n):
-                act = ss.operator_action(x, alpha, n)
+                act = operator_action(x, alpha, n)
                 for idx in range(x.card(n)):
                     lab = x.label(n, idx)
                     expect = tuple(lab[a] for a in alpha)

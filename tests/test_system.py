@@ -1,5 +1,6 @@
-"""BlockSystem: refusing terms on missing unknowns, and the flattening
-round trip between ambient vectors and blocks."""
+"""BlockSystem: refusing terms on missing unknowns, the row-major
+flattening of L @ X @ R terms, and the round trip between ambient vectors
+and blocks."""
 
 import numpy as np
 import pytest
@@ -45,6 +46,29 @@ def test_coefficient_shapes_are_checked():
         sys.add_equation((2, 2), [("x", eye(P, 3), None, 1)])
     with pytest.raises(ValueError, match="coefficient shape"):
         sys.add_equation((2, 2), [("x", zeros(P, 2, 3), None, 1)])
+
+
+def test_matrix_is_the_kron_flattening_of_the_terms():
+    # vec(L X R) = kron(L, R^T) vec(X) row-major, summed over the terms of an
+    # equation, with identities for absent coefficients
+    rng = np.random.default_rng(3)
+
+    def rand(rows, cols):
+        return FpMatrix(P, rng.integers(0, P, size=(rows, cols)))
+
+    sys = BlockSystem(P)
+    sys.add_unknown("x", 2, 3)
+    sys.add_unknown("y", 4, 2)
+    l1, r1, l2, l3, r3 = rand(3, 2), rand(3, 2), rand(3, 4), rand(2, 2), rand(3, 2)
+    sys.add_equation((3, 2), [("x", l1, r1, 1), ("y", l2, None, 4)])
+    sys.add_equation((2, 2), [("x", l3, r3, -1)])
+    sys.add_equation((2, 3), [("x", None, None, 2)])
+    want = np.zeros((6 + 4 + 6, 6 + 8), dtype=np.int64)
+    want[0:6, 0:6] = np.kron(l1.a, r1.a.T)
+    want[0:6, 6:14] = 4 * np.kron(l2.a, np.eye(2, dtype=np.int64))
+    want[6:10, 0:6] = -np.kron(l3.a, r3.a.T)
+    want[10:16, 0:6] = 2 * np.eye(6, dtype=np.int64)
+    assert sys.matrix() == FpMatrix(P, want)
 
 
 def test_rhs_shape_is_checked():
