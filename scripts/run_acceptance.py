@@ -16,8 +16,7 @@ import pytest
 
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
-    # the library is imported from src/ of this checkout, installed or not
-    sys.path.insert(0, str(root / "src"))
+    # pyproject.toml's pythonpath puts this checkout's src/ first on sys.path
     return pytest.main(
         ["-v", "--durations=0", str(root / "tests" / "test_acceptance.py"), *sys.argv[1:]]
     )

@@ -14,6 +14,7 @@ levelwise injections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -343,23 +344,24 @@ def direct_sum(parts: list[ChainComplex]) -> ChainComplex:
 
 
 def direct_sum_with_maps(parts: list[ChainComplex]):
-    """(sum, inclusions, projections) with the summand order of ``parts``."""
+    """(sum, inclusions, projections) with the summand order of ``parts``.
+    Part k starts at row ``offs[t][k]`` of degree t, so its inclusion and
+    projection are a column and a row slice of that degree's identity."""
     total = direct_sum(parts)
-    offs = dict.fromkeys(total.degrees(), 0)  # dims of the earlier parts
-    incs, projs = [], []
-    for part in parts:
-        iblocks, pblocks = {}, {}
-        for t in part.degrees():
-            m = np.zeros((total.dim(t), part.dim(t)), dtype=np.int64)
-            m[offs[t] : offs[t] + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
-            iblocks[t] = FpMatrix(total.p, m)
-        for t in total.degrees():
-            m = np.zeros((part.dim(t), total.dim(t)), dtype=np.int64)
-            m[:, offs[t] : offs[t] + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
-            pblocks[t] = FpMatrix(total.p, m)
-            offs[t] += part.dim(t)
-        incs.append(ChainMap.build(part, total, iblocks))
-        projs.append(ChainMap.build(total, part, pblocks))
+    offs = {t: list(accumulate((x.dim(t) for x in parts), initial=0)) for t in total.degrees()}
+    eyes = {t: np.eye(total.dim(t), dtype=np.int64) for t in total.degrees()}
+
+    def piece(k, t):
+        return eyes[t][offs[t][k] : offs[t][k + 1]]
+
+    incs = [
+        ChainMap.build(x, total, {t: FpMatrix(total.p, piece(k, t).T) for t in x.degrees()})
+        for k, x in enumerate(parts)
+    ]
+    projs = [
+        ChainMap.build(total, x, {t: FpMatrix(total.p, piece(k, t)) for t in total.degrees()})
+        for k, x in enumerate(parts)
+    ]
     return total, incs, projs
 
 

@@ -12,23 +12,15 @@ on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import ssets as ss
-from .chain import ChainComplex, ChainMap, direct_sum_with_maps
+from .chain import ChainMap, direct_sum, identity_map
 from .errors import FieldMismatchError, ValidationFailure
 from .linalg import FpMatrix
 from .sobj import SimplicialObject
-
-
-@dataclass(frozen=True)
-class DoldKan:
-    obj: SimplicialObject
-    parts: tuple[ChainComplex, ...]
-    deltas: tuple[ChainMap, ...]
-    top_inclusions: tuple[ChainMap, ...]  # M_n into level n at the identity epi
 
 
 def _epis(n: int, j: int):
@@ -51,7 +43,7 @@ def _level_epis(n: int):
     return out
 
 
-def dold_kan(parts, deltas) -> DoldKan:
+def dold_kan(parts, deltas) -> SimplicialObject:
     parts = tuple(parts)
     deltas = tuple(deltas)
     if len(deltas) != len(parts) - 1:
@@ -69,53 +61,38 @@ def dold_kan(parts, deltas) -> DoldKan:
     N = len(parts) - 1
 
     epis = [_level_epis(n) for n in range(N + 1)]
-    sums = [
-        direct_sum_with_maps([parts[len(set(e)) - 1] for e in epis[n]])
-        for n in range(N + 1)
+    summands = [[parts[len(set(e)) - 1] for e in epis[n]] for n in range(N + 1)]
+    levels = tuple(direct_sum(m) for m in summands)
+    # offs[n][t][k]: where the summand at epis[n][k] starts in degree t of
+    # level n; the top level spans every degree of every part
+    offs = [
+        {t: list(accumulate((m.dim(t) for m in ms), initial=0)) for t in levels[N].degrees()}
+        for ms in summands
     ]
-    levels = tuple(s[0] for s in sums)
-
-    def component(pp: int, eps: tuple[int, ...]) -> ChainMap | None:
-        """Map M_pp -> M_q induced by the mono part eps: [q] -> [pp]."""
-        if eps == tuple(range(pp + 1)):
-            from .chain import identity_map
-
-            return identity_map(parts[pp])
-        if eps == tuple(range(pp)):
-            return deltas[pp - 1].scale((-1) ** (pp % 2))
-        return None
+    # the component M_pp -> M_q of a mono part: the identity, or the signed
+    # delta for the mono missing the top vertex
+    ident = [identity_map(m) for m in parts]
+    signed = [None] + [d.scale((-1) ** (s % 2)) for s, d in enumerate(deltas, start=1)]
 
     def operator(n_src: int, n_tgt: int, i: int) -> ChainMap:
         alpha = ss.operator_tuple(n_src, n_tgt, i)
-        src_epis, tgt_epis = epis[n_src], epis[n_tgt]
-        tgt_index = {e: j for j, e in enumerate(tgt_epis)}
+        tgt_index = {e: j for j, e in enumerate(epis[n_tgt])}
+        placed = []
+        for col, eta in enumerate(epis[n_src]):
+            pp = len(set(eta)) - 1
+            eps, pi = _epi_mono_factor(tuple(eta[v] for v in alpha))
+            if eps == tuple(range(pp + 1)):
+                placed.append((tgt_index[pi], col, ident[pp]))
+            elif eps == tuple(range(pp)):
+                placed.append((tgt_index[pi], col, signed[pp]))
         src_lvl, tgt_lvl = levels[n_src], levels[n_tgt]
         blocks = {}
-        placed = []
-        for col, eta in enumerate(src_epis):
-            pp = len(set(eta)) - 1
-            comp_tuple = tuple(eta[v] for v in alpha)
-            eps, pi = _epi_mono_factor(comp_tuple)
-            m = component(pp, eps)
-            if m is None:
-                continue
-            placed.append((tgt_index[pi], col, m))
         for t in src_lvl.degrees():
-            mat = np.zeros((tgt_lvl.dim(t), src_lvl.dim(t)), dtype=np.int64)
-            for row_idx, col_idx, m in placed:
-                r_off = sum(
-                    parts[len(set(e)) - 1].dim(t) for e in tgt_epis[:row_idx]
-                )
-                c_off = sum(
-                    parts[len(set(e)) - 1].dim(t) for e in src_epis[:col_idx]
-                )
-                b = m.block(t)
-                mat[r_off : r_off + b.rows, c_off : c_off + b.cols] += b.a
+            r, c = offs[n_tgt][t], offs[n_src][t]
+            mat = np.zeros((r[-1], c[-1]), dtype=np.int64)
+            for row, col, m in placed:
+                mat[r[row] : r[row + 1], c[col] : c[col + 1]] = m.block(t).a
             blocks[t] = FpMatrix(p_mod, mat)
         return ChainMap.build(src_lvl, tgt_lvl, blocks)
 
-    obj = SimplicialObject(N, levels, *ss.operator_tables(N, operator))
-    tops = tuple(
-        sums[n][1][epis[n].index(tuple(range(n + 1)))] for n in range(N + 1)
-    )
-    return DoldKan(obj, parts, deltas, tops)
+    return SimplicialObject(N, levels, *ss.operator_tables(N, operator))

@@ -159,7 +159,7 @@ def random_sobj_obj(p: int, N: int, rng) -> so.SimplicialObject:
     if style == "sing":
         return rz.sing(random_complex(p, rng, pieces=(1, 1), lo=0, hi=1), N)
     parts, deltas = random_moore(p, N, rng)
-    return dk.dold_kan(parts, deltas).obj
+    return dk.dold_kan(parts, deltas)
 
 
 def random_skeletal_sobj(p: int, N: int, rng) -> so.SimplicialObject:
@@ -176,7 +176,7 @@ def random_skeletal_sobj(p: int, N: int, rng) -> so.SimplicialObject:
     parts, deltas = random_moore(p, N, rng)
     while any(parts[N].dim(t) for t in parts[N].degrees()):
         parts, deltas = random_moore(p, N, rng)
-    return dk.dold_kan(parts, deltas).obj
+    return dk.dold_kan(parts, deltas)
 
 
 def random_smap(x: so.SimplicialObject, y: so.SimplicialObject, rng, cap=None) -> so.SimplicialMap:
@@ -197,7 +197,7 @@ def acyclic_dk_fiber(p: int, N: int, rng) -> so.SimplicialObject:
     parts = [c, c] + [z] * (N - 1)
     deltas = [ch.identity_map(c)]
     deltas += [ch.zero_map(parts[s + 1], parts[s]) for s in range(1, N)]
-    return dk.dold_kan(parts, deltas).obj
+    return dk.dold_kan(parts, deltas)
 
 
 def fibrant_twisted_fiber(p: int, N: int, rng) -> so.SimplicialObject:
@@ -211,7 +211,7 @@ def fibrant_twisted_fiber(p: int, N: int, rng) -> so.SimplicialObject:
         parts = [z, c, c] + [z] * (N - 2)
         deltas = [ch.zero_map(c, z), ch.identity_map(c)]
         deltas += [ch.zero_map(parts[s + 1], parts[s]) for s in range(2, N)]
-    return dk.dold_kan(parts, deltas).obj
+    return dk.dold_kan(parts, deltas)
 
 
 # ---------------------------------------------------------------------------

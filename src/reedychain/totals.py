@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,27 +33,16 @@ MODES = ("full", "normalized")
 
 @dataclass(frozen=True)
 class TotalComplex:
-    """The levels and the d' of a total; the assembled complex ``obj`` and
-    its ``layout`` are built on first read, since Moore's criterion reads
-    only the levels."""
+    """The levels and the d' of a total; the assembled complex ``obj`` is
+    built on first read, since Moore's criterion reads only the levels."""
 
-    mode: str
     levels: tuple[ChainComplex, ...]
     dprimes: tuple  # dprimes[s-1] : levels[s] -> levels[s-1]
     witnesses: tuple  # per level: () for full, (proj, sects) for normalized
 
     @cached_property
-    def _assembled(self):
-        return _assemble(self.levels, self.dprimes, self.levels[0].p)
-
-    @property
     def obj(self) -> ChainComplex:
-        return self._assembled[0]
-
-    @property
-    def layout(self) -> dict:
-        """Total degree n -> the (s, t, dim, offset) of each level block."""
-        return self._assembled[1]
+        return _assemble(self.levels, self.dprimes, self.levels[0].p)
 
 
 def _alternating_face_sum(x: SimplicialObject, s: int) -> ChainMap:
@@ -64,42 +54,32 @@ def _alternating_face_sum(x: SimplicialObject, s: int) -> ChainMap:
     return ChainMap.build(src, x.level(s - 1), blocks)
 
 
-def _assemble(levels, dprimes, p: int):
+def _offsets(levels, n: int) -> list[int]:
+    """Where level s starts in total degree n; the last entry is dim_n."""
+    return list(accumulate((e.dim(n - s) for s, e in enumerate(levels)), initial=0))
+
+
+def _assemble(levels, dprimes, p: int) -> ChainComplex:
+    """(-1)^s d of level s on the diagonal block, d' of level s one block up."""
     live = [(s, e) for s, e in enumerate(levels) if not e.is_zero()]
     if not live:
-        empty = zero_complex(p)
-        return empty, {}
+        return zero_complex(p)
     lo = min(s + e.lo for s, e in live)
     hi = max(s + e.hi for s, e in live)
-    layout = {}
-    for n in range(lo, hi + 1):
-        row, off = [], 0
-        for s, e in enumerate(levels):
-            d = e.dim(n - s)
-            if d:
-                row.append((s, n - s, d, off))
-                off += d
-        layout[n] = tuple(row)
-    dims = [sum(d for _, _, d, _ in layout[n]) for n in range(lo, hi + 1)]
+    offs = {n: _offsets(levels, n) for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        rows = dims[n - 1 - lo]
-        cols = dims[n - lo]
-        if rows == 0 or cols == 0:
-            continue
-        m = np.zeros((rows, cols), dtype=np.int64)
-        tgt = {(s, t): (off, d) for s, t, d, off in layout[n - 1]}
-        for s, t, d, off in layout[n]:
-            if (s, t - 1) in tgt:
-                o, dd = tgt[(s, t - 1)]
-                sign = (-1) ** (s % 2)
-                m[o : o + dd, off : off + d] += sign * levels[s].d(t).a
-            if s >= 1 and (s - 1, t) in tgt:
-                o, dd = tgt[(s - 1, t)]
-                m[o : o + dd, off : off + d] += dprimes[s - 1].block(t).a
+        r, c = offs[n - 1], offs[n]
+        m = np.zeros((r[-1], c[-1]), dtype=np.int64)
+        for s in range(len(levels)):
+            if c[s] == c[s + 1]:
+                continue
+            if r[s] < r[s + 1]:
+                m[r[s] : r[s + 1], c[s] : c[s + 1]] = (-1) ** (s % 2) * levels[s].d(n - s).a
+            if s and r[s - 1] < r[s]:
+                m[r[s - 1] : r[s], c[s] : c[s + 1]] = dprimes[s - 1].block(n - s).a
         diffs[n] = FpMatrix(p, m)
-    obj = ChainComplex.build(p, lo, dims, diffs)
-    return obj, layout
+    return ChainComplex.build(p, lo, [offs[n][-1] for n in range(lo, hi + 1)], diffs)
 
 
 def total_complex(x: SimplicialObject, mode: str = "normalized") -> TotalComplex:
@@ -121,7 +101,7 @@ def total_complex(x: SimplicialObject, mode: str = "normalized") -> TotalComplex
             blocks = {t: proj_lo.block(t) @ alt.block(t) @ sects[t] for t in x.level(s).degrees()}
             dprimes.append(ChainMap.build(levels[s], levels[s - 1], blocks))
         dprimes = tuple(dprimes)
-    return TotalComplex(mode, tuple(levels), dprimes, wits)
+    return TotalComplex(tuple(levels), dprimes, wits)
 
 
 def level_maps(f: SimplicialMap, tx: TotalComplex, ty: TotalComplex) -> list[ChainMap]:
@@ -154,12 +134,11 @@ def total_map(
         per_level = level_maps(f, tx, ty)
     blocks = {}
     for n in tx.obj.degrees():
-        m = np.zeros((ty.obj.dim(n), tx.obj.dim(n)), dtype=np.int64)
-        tgt = {(s, t): (off, d) for s, t, d, off in ty.layout.get(n, ())}
-        for s, t, d, off in tx.layout.get(n, ()):
-            if (s, t) in tgt:
-                o, dd = tgt[(s, t)]
-                m[o : o + dd, off : off + d] = per_level[s].block(t).a
+        r, c = _offsets(ty.levels, n), _offsets(tx.levels, n)
+        m = np.zeros((r[-1], c[-1]), dtype=np.int64)
+        for s, g in enumerate(per_level):
+            if r[s] < r[s + 1] and c[s] < c[s + 1]:
+                m[r[s] : r[s + 1], c[s] : c[s + 1]] = g.block(n - s).a
         blocks[n] = FpMatrix(f.p, m)
     return ChainMap.build(tx.obj, ty.obj, blocks)
 

@@ -172,6 +172,54 @@ def test_quasi_iso_identity_and_failure():
     assert ch.is_quasi_iso(ch.zero_map(d, ch.zero_complex(P)))
 
 
+def ref_direct_sum_with_maps(parts):
+    """The builder the library replaced: one zero matrix per part and
+    degree, the identity written at a running offset."""
+    total = ch.direct_sum(parts)
+    offs = dict.fromkeys(total.degrees(), 0)
+    incs, projs = [], []
+    for part in parts:
+        iblocks, pblocks = {}, {}
+        for t in part.degrees():
+            m = np.zeros((total.dim(t), part.dim(t)), dtype=np.int64)
+            m[offs[t] : offs[t] + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
+            iblocks[t] = FpMatrix(total.p, m)
+        for t in total.degrees():
+            m = np.zeros((part.dim(t), total.dim(t)), dtype=np.int64)
+            m[:, offs[t] : offs[t] + part.dim(t)] = np.eye(part.dim(t), dtype=np.int64)
+            pblocks[t] = FpMatrix(total.p, m)
+            offs[t] += part.dim(t)
+        incs.append(ch.ChainMap.build(part, total, iblocks))
+        projs.append(ch.ChainMap.build(total, part, pblocks))
+    return total, incs, projs
+
+
+def gapped_complex(rng, p):
+    """Zero dimensions inside the support, zero differential."""
+    dims = [int(rng.integers(1, 3))] + [0] * int(rng.integers(1, 3)) + [int(rng.integers(1, 3))]
+    return ch.ChainComplex.build(p, int(rng.integers(-2, 2)), dims, {})
+
+
+@pytest.mark.parametrize("p", (2, 3, 101))
+def test_direct_sum_with_maps_matches_running_offset_reference(p):
+    """Sums of zero, gapped and random complexes with disjoint or
+    overlapping supports: the library's sum, inclusions and projections
+    equal the reference's."""
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                parts.append(ch.zero_complex(p))
+            elif kind == 1:
+                parts.append(gapped_complex(rng, p))
+            else:
+                lo = int(rng.integers(-3, 3))
+                parts.append(rand_complex(rng, p, lo=lo, width=int(rng.integers(0, 3))))
+        assert ch.direct_sum_with_maps(parts) == ref_direct_sum_with_maps(parts)
+
+
 def test_mono_epi():
     s = ch.sphere(P, 1)
     d = ch.disk(P, 2)

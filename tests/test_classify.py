@@ -103,9 +103,7 @@ def test_sing_of_trivial_fibration_passes_invariant():
 
 def test_projection_with_nonconstant_fiber_is_not_equifibered():
     z = ch.zero_complex(P)
-    w = dk.dold_kan(
-        [z, sph(1), sph(1)], [ch.zero_map(sph(1), z), ch.identity_map(sph(1))]
-    ).obj
+    w = dk.dold_kan([z, sph(1), sph(1)], [ch.zero_map(sph(1), z), ch.identity_map(sph(1))])
     x = rz.sing(sph(0), 2)
     total, _, projs = so.direct_sum_sobj([x, w])
     c = cl.classify(projs[0])
@@ -119,9 +117,7 @@ def test_homotopically_constant():
     assert homotopically_constant_witness(rz.sing(sph(1), 2)) is None
     assert homotopically_constant_witness(so.tensor_with_sset(sph(0), ss.delta(2, 1))) is not None
     z = ch.zero_complex(P)
-    w = dk.dold_kan(
-        [z, sph(1), sph(1)], [ch.zero_map(sph(1), z), ch.identity_map(sph(1))]
-    ).obj
+    w = dk.dold_kan([z, sph(1), sph(1)], [ch.zero_map(sph(1), z), ch.identity_map(sph(1))])
     # the cone over S^1 -> 0 first shows homology at degree 2
     assert homotopically_constant_witness(w) == (1, 0, 2)
 

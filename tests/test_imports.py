@@ -6,7 +6,6 @@ top-level ``import`` or ``from ... import`` must occur as a name somewhere
 in the module (or in its ``__all__``)."""
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -44,34 +43,50 @@ def test_gate_sees_an_unused_import(tmp_path):
 
 # Where a library name may be used: the library, the benchmark and the
 # scripts.  Tests do not count, so a definition only tests call belongs in
-# the tests.  A name counts wherever it occurs as a word, strings included,
-# so the benchmark tracer's ``SPANS`` table keeps its entries.  ``KEEP``
-# holds the public names the README documents that no user calls yet.
+# the tests.  A definition counts as used where a ``Name`` or ``Attribute``
+# node names it outside its own body, or a string constant equals its name
+# or ends in ``.name``, so the benchmark tracer's ``SPANS`` table keeps its
+# entries; prose in a docstring or comment does not count.  ``KEEP`` holds
+# the public names the README documents that no user calls yet.
 ROOT = SRC.parent.parent
 USERS = ("src", "perfbench", "scripts")
-KEEP = ("chain.tensor_maps",)
+KEEP = ("chain.tensor_maps", "ssets.product")
+
+
+def mentions(path: Path) -> list[tuple[str, int]]:
+    """(text, line) of every Name, Attribute and string constant in path;
+    a Name or Attribute gives its identifier, a string its whole value."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node.lineno))
+    return out
 
 
 def unused_definitions(src: Path, users: list[Path]) -> list[str]:
     """``module.name`` of every module-level function or class under ``src``
     that no file in ``users`` names outside the definition itself."""
-    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in users}
+    found = {path: mentions(path) for path in users}
     out = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            word = re.compile(rf"\b{node.name}\b")
+            name, dotted = node.name, "." + node.name
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             used = any(
-                word.search(line)
-                for user, lines in texts.items()
-                for no, line in enumerate(lines, 1)
-                if not (user == path and first <= no <= node.end_lineno)
+                (text == name or text.endswith(dotted))
+                and not (user == path and first <= no <= node.end_lineno)
+                for user, texts in found.items()
+                for text, no in texts
             )
             if not used:
-                out.append(f"{path.stem}.{node.name}")
+                out.append(f"{path.stem}.{name}")
     return out
 
 
@@ -86,15 +101,21 @@ def test_gate_sees_an_unused_definition(tmp_path):
     (lib / "mod.py").write_text(
         "def dead(n):\n    return dead(n - 1)  # only itself\n\n\n"
         "def traced():\n    pass\n\n\n"
+        "def dotted():\n    pass\n\n\n"
+        "def prose():\n    pass\n\n\n"
         "class Used:\n    pass\n\n\n"
         "@staticmethod\ndef decorated():\n    pass\n",
         encoding="utf-8",
     )
     (tmp_path / "user.py").write_text(
-        "SPANS = {'mod': ('traced',)}\nfrom lib.mod import Used\n", encoding="utf-8"
+        '"""Calls prose() and lib.mod.prose in a docstring only."""\n'
+        "# decorated() in a comment\n"
+        "SPANS = {'mod': ('traced', 'Used.dotted')}\n"
+        "from lib.mod import Used\n\nUsed()\n",
+        encoding="utf-8",
     )
     users = [lib / "mod.py", tmp_path / "user.py"]
-    assert unused_definitions(lib, users) == ["mod.dead", "mod.decorated"]
+    assert unused_definitions(lib, users) == ["mod.dead", "mod.prose", "mod.decorated"]
 
 
 def test_kron_flattening_lives_in_system():

@@ -4,7 +4,8 @@
 maps N_nf.  Here its level and cofibration witnesses are compared with the
 full-level ones, the standalone face-square witness with the pullback path
 of ``test_reedy_oracle``, and every report with the report of the same map
-after a random change of basis in every level of both ends.
+after a random change of basis in every level of both ends.  The J-window
+lifting check and the lem-match comparison get the same change of basis.
 
 The corpus: five sampler kinds at p = 2, 3 and 101, N = 1..3, seeds 0-1,
 three random small maps per (p, N), and the boxes of Reedy cofibrations at
@@ -12,6 +13,8 @@ N = 2 and 3 against the injective pool.
 """
 
 from functools import lru_cache
+
+import pytest
 
 from reedychain import chain as ch
 from reedychain import classify as cl
@@ -120,3 +123,53 @@ def test_reports_are_invariant_under_change_of_basis():
         want = cl.classification_report(cl.classify(f, check_invariant=False))
         assert cl.classification_report(cl.classify(g, check_invariant=False)) == want
     assert changed >= len(sampled_corpus()) // 2
+
+
+def bounded_draws(N: int) -> list:
+    """Three draws of every map kind over F_101 at cap 512 whose levels all
+    have dimension at most 8, scanning seeds forward."""
+    out = []
+    for kind in MAP_KINDS:
+        for seed in range(3):
+            while True:
+                try:
+                    f = sm.draw(kind, 101, N, seed=seed, cap=512)
+                except ResourceCapError:
+                    f = None
+                if f is not None and all(
+                    x.level(n).total_dim() <= 8 for x in (f.source, f.target) for n in range(N + 1)
+                ):
+                    out.append(f)
+                    break
+                seed += 100003
+    return out
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_j_window_is_invariant_under_change_of_basis(N):
+    """Lifting against each member of J' and J'' over degrees -1..3 and
+    the equifibered verdict do not depend on the bases of the levels.
+    Every J' corner of a Reedy fibration is onto, so the Reedy
+    cofibrations are what make a basis-dependent J' verdict show; members
+    fail and pass, so the comparison is not vacuous."""
+    rng = sm.rng_for(f"normal-form:j-window:{N}")
+    verdicts = []
+    for f in bounded_draws(N):
+        g = conjugate_smap(f, rng)
+        want = hn.check_j_injective_vs_equifibered(f, window=(-1, 3), n_range=(0, 2))
+        got = hn.check_j_injective_vs_equifibered(g, window=(-1, 3), n_range=(0, 2))
+        assert (got["members"], got["equifibered"]) == (want["members"], want["equifibered"])
+        verdicts += [r["rlp"] for r in got["members"]]
+    assert verdicts.count(False) >= 5 and verdicts.count(True) >= 5
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_lem_match_holds_after_change_of_basis(N):
+    """The lem-match comparison holds at every n for conjugated
+    ``random_small_map`` draws."""
+    rng = sm.rng_for(f"normal-form:lem-match:{N}")
+    for _ in range(6):
+        g = conjugate_smap(sm.random_small_map(101, N, rng), rng)
+        so.validate_smap(g)
+        for n in range(N + 1):
+            assert cl.matching_cotensor_comparison(g, n), n

@@ -111,7 +111,11 @@ def summand_comparison(y: so.SimplicialObject, n: int, tot: tt.TotalComplex) -> 
     blocks = {}
     for d in src.degrees():
         m = np.zeros((tot.obj.dim(d), src.dim(d)), dtype=np.int64)
-        rows = {(k, t): off for k, t, _, off in tot.layout.get(d, ())}
+        # level k of the total starts at row rows[k] in degree d
+        rows, start = [], 0
+        for k, e in enumerate(tot.levels):
+            rows.append(start)
+            start += e.dim(d - k)
         # the nonzero blocks y_t tensor chains_{d-t} in ascending t; the column
         # of y_i tensor theta_j in a block at offset off is off + i * c + j
         off = 0
@@ -120,8 +124,8 @@ def summand_comparison(y: so.SimplicialObject, n: int, tot: tt.TotalComplex) -> 
             if not (r and c):
                 continue
             k = d - t
-            if (k, t) in rows:  # else N_k Y vanishes in degree t
-                o = rows[(k, t)]
+            if tot.levels[k].dim(t):  # else N_k Y vanishes in degree t
+                o = rows[k]
                 to_normalized = tot.witnesses[k][0].block(t)
                 sign = -1 if (t * k) % 2 else 1
                 for j, idx in enumerate(ss.nondegenerate_indices(shape, k)):

@@ -243,7 +243,7 @@ def moore_total(x: so.SimplicialObject) -> tt.TotalComplex:
         for n in range(1, x.N + 1)
     )
     levels = tuple(incl.source for incl in incls)
-    return tt.TotalComplex("moore", levels, dprimes, tuple((i,) for i in incls))
+    return tt.TotalComplex(levels, dprimes, tuple((i,) for i in incls))
 
 
 def moore_level_maps(f: so.SimplicialMap, tx: tt.TotalComplex, ty: tt.TotalComplex):
@@ -254,16 +254,25 @@ def moore_level_maps(f: so.SimplicialMap, tx: tt.TotalComplex, ty: tt.TotalCompl
     ]
 
 
+def level_starts(levels, n: int) -> list[int]:
+    """Where level s starts in total degree n, by a running sum; the last
+    entry is the total dimension."""
+    out, off = [], 0
+    for s, e in enumerate(levels):
+        out.append(off)
+        off += e.dim(n - s)
+    return out + [off]
+
+
 def moore_total_map(f: so.SimplicialMap, tx: tt.TotalComplex, ty: tt.TotalComplex) -> ch.ChainMap:
     per_level = moore_level_maps(f, tx, ty)
     blocks = {}
     for n in tx.obj.degrees():
-        m = np.zeros((ty.obj.dim(n), tx.obj.dim(n)), dtype=np.int64)
-        tgt = {(s, t): (off, d) for s, t, d, off in ty.layout.get(n, ())}
-        for s, t, d, off in tx.layout.get(n, ()):
-            if (s, t) in tgt:
-                o, dd = tgt[(s, t)]
-                m[o : o + dd, off : off + d] = per_level[s].block(t).a
+        rows, cols = level_starts(ty.levels, n), level_starts(tx.levels, n)
+        m = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+        for s, g in enumerate(per_level):
+            b = g.block(n - s)
+            m[rows[s] : rows[s] + b.rows, cols[s] : cols[s] + b.cols] = b.a
         blocks[n] = FpMatrix(f.p, m)
     return ch.ChainMap.build(tx.obj, ty.obj, blocks)
 

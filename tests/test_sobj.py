@@ -242,7 +242,7 @@ def test_validate_smap_names_the_broken_operator():
         so.validate_smap(doubled)
     # X_1 = M_0 + M_1 with M_1 killed by both faces; shearing M_0 into M_1
     # commutes with the faces but not with s_0
-    y = dold_kan([sph(0), sph(0)], [ch.zero_map(sph(0), sph(0))]).obj
+    y = dold_kan([sph(0), sph(0)], [ch.zero_map(sph(0), sph(0))])
     shear = ch.ChainMap.build(y.level(1), y.level(1), {0: FpMatrix.from_rows(P, [[1, 0], [1, 1]])})
     f = so.SimplicialMap(y, y, (ch.identity_map(y.level(0)), shear))
     with pytest.raises(ValidationFailure, match=r"^map breaks s_0 at level 0$"):
